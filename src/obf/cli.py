@@ -1,7 +1,8 @@
 """Command-line interface: rank, select, simulate, consistency, roc.
 
-Exit codes: 0 all requested outputs written, 2 dataset parse error,
-3 configuration error, 4 all features degenerate.
+Exit codes: 0 all requested outputs written, 2 input file missing,
+unreadable or malformed, 3 configuration error (including a prior that
+leaves no feature scorable at this sample size), 4 all features degenerate.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .baselines import (
 from .dataio import (
     RunConfig,
     atomic_write_text,
+    dataset_from_rows,
     fmt_number,
     load_config,
-    parse_float,
     provenance_lines,
     read_csv_text,
     read_dataset,
@@ -46,7 +47,15 @@ from .errors import (
     TooLarge,
 )
 from .harness import ExperimentPlan, run_plan
-from .selection import ScoreTable, select_cmnc, select_mnc, select_mr, select_np, roc
+from .selection import (
+    ScoreTable,
+    rank_order,
+    roc,
+    select_cmnc,
+    select_mnc,
+    select_mr,
+    select_np,
+)
 from .special import student_t_two_sided_p
 from .svgplot import line_chart
 from .synth import generate
@@ -93,11 +102,9 @@ def _ranked_rows(names, scores):
     ok = scores["ok"]
     if not np.any(ok):
         raise AllDegenerate("every feature is degenerate under this prior")
-    order = np.argsort(-np.where(ok, scores["log_h"], -np.inf), kind="stable")
     rows = []
     rank = 0
-    for idx in order:
-        idx = int(idx)
+    for idx in rank_order(scores["log_h"], ok).tolist():
         good = bool(ok[idx])
         rank = rank + 1 if good else rank
         rows.append([
@@ -116,11 +123,7 @@ def _ranked_rows(names, scores):
     return rows
 
 
-def _table_from_dataset(args, cfg) -> ScoreTable:
-    prior = _require(cfg, "prior", "prior")
-    values, labels, names = read_dataset(
-        args.input, label_column=args.label_column, transpose=args.transpose
-    )
+def _table_from_dataset(prior, values, labels, names) -> ScoreTable:
     ms = matrix_stats(values, labels)
     lh, pi_star, log1m, ok = log_h_table(prior, ms)
     if not np.any(ok):
@@ -131,35 +134,54 @@ def _table_from_dataset(args, cfg) -> ScoreTable:
     )
 
 
-def _table_from_ranked(path) -> ScoreTable:
-    header, rows, _ = read_csv_text(path)
+def _table_from_ranked(path, header, rows) -> ScoreTable:
+    """Scores of the ``ok`` rows of a ranked file; each must carry numbers."""
     needed = ("feature", "log_h", "pi_star", "log1m_pi_star", "status")
     missing = [name for name in needed if name not in header]
     if missing:
         raise DatasetParseError(f"{path}: ranked file lacks columns {missing}")
     idx = {name: header.index(name) for name in needed}
-    ids, lhs, pis, l1ms = [], [], [], []
-    for row in rows:
+    ids, scores = [], []
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DatasetParseError(
+                f"{path}: expected {len(header)} cells, found {len(row)}",
+                row=i + 2, column=len(row),
+            )
         if row[idx["status"]] != "ok":
             continue
         ids.append(row[idx["feature"]])
-        lhs.append(parse_float(row[idx["log_h"]]))
-        pis.append(parse_float(row[idx["pi_star"]]))
-        l1ms.append(parse_float(row[idx["log1m_pi_star"]]))
+        for name in ("log_h", "pi_star", "log1m_pi_star"):
+            cell = row[idx[name]]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if math.isnan(value):
+                raise DatasetParseError(
+                    f"{path}: ok row has no number in {name}: {cell!r}",
+                    row=i + 2, column=idx[name] + 1,
+                )
+            scores.append(value)
     if not ids:
         raise AllDegenerate("ranked file contains no scorable features")
-    return ScoreTable.from_arrays(ids, lhs, pis, l1ms)
-
-
-def _is_ranked_file(path) -> bool:
-    header, _, _ = read_csv_text(path)
-    return {"feature", "log_h", "pi_star"} <= set(header)
+    lh, pi_star, log1m = np.array(scores, dtype=np.float64).reshape(-1, 3).T
+    return ScoreTable.from_arrays(ids, lh, pi_star, log1m)
 
 
 def _load_table(args, cfg) -> ScoreTable:
-    if _is_ranked_file(args.input):
-        return _table_from_ranked(args.input)
-    return _table_from_dataset(args, cfg)
+    """Scores from a ranked file, or from a dataset scored under [prior]."""
+    header, rows, _ = read_csv_text(args.input)
+    if {"feature", "log_h", "pi_star"} <= set(header):
+        return _table_from_ranked(args.input, header, rows)
+    prior = _require(cfg, "prior", "prior")
+    dataset = dataset_from_rows(
+        header, rows, args.input,
+        label_column=args.label_column, transpose=args.transpose,
+    )
+    # the cell text outweighs the parsed matrix: free it before scoring
+    del header, rows
+    return _table_from_dataset(prior, *dataset)
 
 
 def cmd_rank(args) -> int:
@@ -190,19 +212,20 @@ def cmd_select(args) -> int:
     settings = _require(cfg, "selection", "selection")
     table = _load_table(args, cfg)
     result = _apply_selection(table, settings)
-    by_id = {fid: s for fid, s in zip(table.feature_ids, table.scores)}
+    position = {fid: i for i, fid in enumerate(table.feature_ids)}
+    rank_of = {fid: i + 1 for i, fid in enumerate(result.ranking)}
     header = ["feature", "rank", "log_h", "pi_star"]
     rows = []
+    # left-to-right sums in selection order, which fix the printed digits
     expected_tp = 0.0
     expected_fp = 0.0
-    rank_of = {fid: i + 1 for i, fid in enumerate(result.ranking)}
     for fid in result.selected:
-        s = by_id[fid]
-        expected_tp += s.pi_star
-        expected_fp += math.exp(s.log1m_pi_star)
+        i = position[fid]
+        expected_tp += float(table.pi_star[i])
+        expected_fp += math.exp(table.log1m[i])
         rows.append([
-            str(fid), str(rank_of[fid]), fmt_number(s.log_h),
-            fmt_number(s.pi_star),
+            str(fid), str(rank_of[fid]), fmt_number(table.log_h[i]),
+            fmt_number(table.pi_star[i]),
         ])
     comments = provenance_lines(cfg.digest(), args.seed, cfg.items)
     comments.append(f"# criterion: {result.criterion}"
@@ -358,7 +381,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ConfigInvalid, ImproperPrior, BadSize, TooLarge, NotPD,
-            ValueError) as err:
+            DegenerateData, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except AllDegenerate as err:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .bayes import NIWHyper, PriorSpec
+from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
 from .errors import ConfigInvalid, DatasetParseError
 from .harness import parse_method
 from .selection import LossSpec
@@ -43,16 +43,17 @@ def fmt_number(x) -> str:
     return repr(x)
 
 
-def parse_float(text: str) -> float:
-    return float(text) if text != "" else math.nan
-
-
 def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-obf-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            # mkstemp makes the file 0600 and os.replace keeps the mode, so
+            # give it the mode open() would: 0666 less the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,18 +86,22 @@ def read_csv_text(path):
     comments = []
     header = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            if header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    comments.append(line)
+                    continue
+                if header is None:
+                    header = line.split(",")
+                else:
+                    rows.append(line.split(","))
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise DatasetParseError(f"cannot read {path}: {reason}") from None
     if header is None:
         raise DatasetParseError(f"{path}: no header row")
     return header, rows, comments
@@ -115,6 +120,15 @@ def read_dataset(path, label_column: str = "label", transpose: bool = False):
     and the row named ``label_column`` holds the class labels.
     """
     header, rows, _ = read_csv_text(path)
+    return dataset_from_rows(header, rows, path, label_column, transpose)
+
+
+def dataset_from_rows(header, rows, path, label_column: str = "label",
+                      transpose: bool = False):
+    """``read_dataset`` on the header and rows ``read_csv_text`` gave.
+
+    ``path`` only names the file in error messages.
+    """
     if transpose:
         names = [r[0] if r else "" for r in rows]
         width = len(header)
@@ -123,9 +137,9 @@ def read_dataset(path, label_column: str = "label", transpose: bool = False):
                 raise DatasetParseError(
                     f"{path}: ragged row", row=i + 2, column=len(r)
                 )
-        grid = [r[1:] for r in rows]
         header = names
-        rows = [list(col) for col in zip(*grid)]
+        # the file's columns become sample rows; column 0 holds the names
+        rows = [list(col) for col in zip(*rows)][1:]
 
     def position(sample_i, cell_j):
         """1-based (row, column) of a cell in the file's own orientation."""
@@ -213,18 +227,17 @@ _SECTIONS = {
     "plan": _PLAN_KEYS,
 }
 
-_PP_VALUES = {
-    "s0": 0.5, "kappa0": 3.0, "m0": 0.0, "nu0": 0.1,
-    "s1": 0.5, "kappa1": 3.0, "m1": 0.2, "nu1": 0.1,
-    "sb": 0.5, "kappab": 3.0, "mb": 0.0, "nub": 0.1,
-    "pi": 0.005,
-}
-_JP_VALUES = {
-    "s0": 0.0, "kappa0": 0.0, "nu0": 0.0,
-    "s1": 0.0, "kappa1": 0.0, "nu1": 0.0,
-    "sb": 0.0, "kappab": 0.0, "nub": 0.0,
-    "pi": 0.005, "logl": math.log(0.1),
-}
+_PRIOR_PRESETS = {"pp": pp_prior, "jp": jp_prior}
+
+
+def _preset_values(spec: PriorSpec) -> dict:
+    """A preset prior as [prior] keys; logl only where it is not derived."""
+    vals = {"pi": spec.pi}
+    for suffix, block in (("0", spec.good0), ("1", spec.good1), ("b", spec.bad)):
+        vals.update({f"{key}{suffix}": v for key, v in block.to_dict().items()})
+    if not spec.is_proper:
+        vals["logl"] = spec.logL
+    return vals
 
 
 @dataclass(frozen=True)
@@ -267,10 +280,8 @@ def _as_int(section, key, raw):
 
 def _build_prior(sec: dict) -> PriorSpec:
     preset = sec.get("preset", "custom")
-    if preset == "pp":
-        vals = dict(_PP_VALUES)
-    elif preset == "jp":
-        vals = dict(_JP_VALUES)
+    if preset in _PRIOR_PRESETS:
+        vals = _preset_values(_PRIOR_PRESETS[preset]())
     elif preset == "custom":
         vals = {}
     else:

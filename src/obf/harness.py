@@ -25,6 +25,7 @@ from .bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from .baselines import bd_array, mi_array, welch_t_array, wilks_array
 from .errors import ConfigInvalid
 from .rng import replicate_seed
+from .selection import budget_cut, rank_order, threshold_cut, top_cut
 from .synth import GLOBAL, HETERO, SynthConfig, generate
 
 OBF_PRESETS = ("pp", "jp")
@@ -173,40 +174,6 @@ def _prior_for(method: MethodSpec):
     return jp_prior(pi, weight)
 
 
-def _rank_order(key: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Stable descending order with unscorable features forced last."""
-    return np.argsort(-np.where(ok, key, -np.inf), kind="stable")
-
-
-def _select_obf(method: MethodSpec, lh, pi_star, log1m, ok) -> np.ndarray:
-    sel = np.zeros(lh.shape[0], dtype=bool)
-    if method.criterion in ("mr", "mnc"):
-        t = 0.5 if method.criterion == "mnc" else method.param
-        sel = ok & (pi_star > t)
-    elif method.criterion == "cmnc":
-        order = _rank_order(lh, ok)
-        d = min(int(method.param), int(np.count_nonzero(ok)))
-        sel[order[:d]] = True
-    elif method.criterion == "np":
-        order = _rank_order(lh, ok)
-        costs = np.where(ok[order], np.exp(log1m[order]), np.inf)
-        total = 0.0
-        for idx, c in zip(order, costs):
-            if total + c > method.param:
-                break
-            total += float(c)
-            sel[idx] = True
-    return sel
-
-
-def _select_top_d(key: np.ndarray, ok: np.ndarray, d: int) -> np.ndarray:
-    order = _rank_order(key, ok)
-    d = min(d, int(np.count_nonzero(ok)))
-    sel = np.zeros(key.shape[0], dtype=bool)
-    sel[order[:d]] = True
-    return sel
-
-
 def _replicate_cell(payload):
     """Score every method on one generated (n, replicate) dataset."""
     config, base_seed, n, rep, methods, probe_preset, probe_tags = payload
@@ -245,16 +212,24 @@ def _replicate_cell(payload):
     for method in methods:
         if method.kind == "obf":
             lh, pi_star, log1m, ok = obf_scores(method)
-            sel = _select_obf(method, lh, pi_star, log1m, ok)
+            order = rank_order(lh, ok)
+            if method.criterion == "np":
+                costs = np.where(ok, np.exp(log1m), np.inf)
+                picked = budget_cut(order, costs, method.param)
+            elif method.criterion == "cmnc":
+                picked = top_cut(order, int(method.param), int(np.count_nonzero(ok)))
+            else:
+                t = 0.5 if method.criterion == "mnc" else method.param
+                picked = threshold_cut(order, pi_star, t)
         else:
             key, ok = baseline_key(method.kind)
-            sel = _select_top_d(key, ok, method.top_d)
-        tp = int(np.count_nonzero(sel & truth_mask))
-        fp = int(np.count_nonzero(sel & ~truth_mask))
+            picked = top_cut(rank_order(key, ok), method.top_d,
+                             int(np.count_nonzero(ok)))
+        tp = int(np.count_nonzero(truth_mask[picked]))
+        fp = picked.size - tp
         correct = total - fp - (n_truth - tp)
         per_method[method.name] = (
-            correct, tp, fp, int(np.count_nonzero(sel)),
-            int(np.count_nonzero(~ok)),
+            correct, tp, fp, picked.size, int(np.count_nonzero(~ok)),
         )
 
     probe = None
@@ -306,26 +281,10 @@ def run_sweep(
     rows = []
     for n in plan.n_grid:
         for method in plan.methods:
-            correct = np.array(
-                [by_cell[(n, r)][0][method.name][0] for r in range(plan.replicates)],
+            correct, tp, fp, n_sel, degen = np.array(
+                [by_cell[(n, r)][0][method.name] for r in range(plan.replicates)],
                 dtype=np.float64,
-            )
-            tp = np.array(
-                [by_cell[(n, r)][0][method.name][1] for r in range(plan.replicates)],
-                dtype=np.float64,
-            )
-            fp = np.array(
-                [by_cell[(n, r)][0][method.name][2] for r in range(plan.replicates)],
-                dtype=np.float64,
-            )
-            n_sel = np.array(
-                [by_cell[(n, r)][0][method.name][3] for r in range(plan.replicates)],
-                dtype=np.float64,
-            )
-            degen = np.array(
-                [by_cell[(n, r)][0][method.name][4] for r in range(plan.replicates)],
-                dtype=np.float64,
-            )
+            ).T
             sd = float(np.std(correct, ddof=1)) if plan.replicates > 1 else 0.0
             rows.append(MetricRow(
                 n=n,

@@ -18,12 +18,11 @@ probabilities, which is what makes every rule a ranking plus a cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bayes import FeatureScore
 from .errors import BadSize, TooLarge
 from .special import logsumexp
 
@@ -32,16 +31,56 @@ _ENUM_CHUNK = 1 << 16
 _NEG_CLAMP = -1e300
 
 
-@dataclass(frozen=True)
+def rank_order(key, ok=True) -> np.ndarray:
+    """Positions by descending key, ties by ascending position.
+
+    Positions with ``ok`` false sort as if their key were -inf, which puts
+    them after every scorable position with a larger key.
+    """
+    return np.argsort(-np.where(ok, key, -np.inf), kind="stable")
+
+
+def threshold_cut(order: np.ndarray, pi: np.ndarray, t: float) -> np.ndarray:
+    """MR/MNC: the ranked positions whose probability is strictly above t."""
+    return order[pi[order] > t]
+
+
+def top_cut(order: np.ndarray, d: int, n_ok: int) -> np.ndarray:
+    """CMNC/top-D: the first d ranked positions, at most the n_ok scorable."""
+    return order[:min(d, n_ok)]
+
+
+def budget_cut(order: np.ndarray, costs: np.ndarray, alpha: float) -> np.ndarray:
+    """NP: the longest ranked prefix whose summed cost stays <= alpha.
+
+    Costs are nonnegative, so the running sums never decrease, and
+    ``np.cumsum`` adds them left to right: the cut falls where a greedy loop
+    adding costs in rank order would stop, bit for bit.
+    """
+    totals = np.cumsum(costs[order])
+    return order[:int(np.searchsorted(totals, alpha, side="right"))]
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Parallel feature ids and scores; table order defines the tie-break index."""
+    """Feature ids with parallel float64 score arrays.
+
+    Table order defines the tie-break index of the ranking.
+    """
 
     feature_ids: tuple
-    scores: tuple
+    log_h: np.ndarray
+    pi_star: np.ndarray
+    log1m: np.ndarray
 
     def __post_init__(self):
-        if len(self.feature_ids) != len(self.scores):
-            raise ValueError("feature_ids and scores must be parallel")
+        object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
+        for name in ("log_h", "pi_star", "log1m"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != (len(self.feature_ids),):
+                raise ValueError(f"{name} must be parallel to feature_ids")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if len(set(self.feature_ids)) != len(self.feature_ids):
             raise ValueError("feature_ids must be unique")
 
@@ -50,20 +89,7 @@ class ScoreTable:
 
     @classmethod
     def from_arrays(cls, feature_ids, log_h, pi_star, log1m) -> "ScoreTable":
-        scores = tuple(
-            FeatureScore(float(h), float(p), float(l))
-            for h, p, l in zip(log_h, pi_star, log1m)
-        )
-        return cls(feature_ids=tuple(feature_ids), scores=scores)
-
-    def log_h_array(self) -> np.ndarray:
-        return np.array([s.log_h for s in self.scores], dtype=np.float64)
-
-    def pi_star_array(self) -> np.ndarray:
-        return np.array([s.pi_star for s in self.scores], dtype=np.float64)
-
-    def log1m_array(self) -> np.ndarray:
-        return np.array([s.log1m_pi_star for s in self.scores], dtype=np.float64)
+        return cls(feature_ids, log_h, pi_star, log1m)
 
     def rank_order(self) -> np.ndarray:
         """Positions sorted by descending log-odds, ties by ascending position.
@@ -71,7 +97,10 @@ class ScoreTable:
         Sorting on log-odds rather than the probability keeps distinct
         features distinguishable after the probability saturates at 1.
         """
-        return np.argsort(-self.log_h_array(), kind="stable")
+        return rank_order(self.log_h)
+
+    def ids_at(self, positions: np.ndarray) -> tuple:
+        return tuple(self.feature_ids[i] for i in positions.tolist())
 
 
 @dataclass(frozen=True)
@@ -112,15 +141,9 @@ class SelectionResult:
     expected_risk: Optional[float] = None
 
 
-def _ranked_ids(table: ScoreTable):
-    order = table.rank_order()
-    ids = tuple(table.feature_ids[i] for i in order)
-    return order, ids
-
-
 def _expected_risk(table: ScoreTable, chosen: np.ndarray, loss: LossSpec) -> float:
-    pi = table.pi_star_array()
-    one_m = np.exp(table.log1m_array())
+    pi = table.pi_star
+    one_m = np.exp(table.log1m)
     inc = loss.lambda_gg * pi + loss.lambda_gb * one_m
     exc = loss.lambda_bg * pi + loss.lambda_bb * one_m
     return float(np.sum(np.where(chosen, inc, exc)))
@@ -129,38 +152,29 @@ def _expected_risk(table: ScoreTable, chosen: np.ndarray, loss: LossSpec) -> flo
 def select_mr(table: ScoreTable, loss: LossSpec) -> SelectionResult:
     """Keep features with probability strictly above the loss threshold."""
     t = loss.threshold
-    order, ids = _ranked_ids(table)
-    pi = table.pi_star_array()
-    chosen = pi > t
-    selected = tuple(table.feature_ids[i] for i in order if chosen[i])
+    order = table.rank_order()
     return SelectionResult(
         criterion="MR",
         param=t,
-        ranking=ids,
-        selected=selected,
-        expected_risk=_expected_risk(table, chosen, loss),
+        ranking=table.ids_at(order),
+        selected=table.ids_at(threshold_cut(order, table.pi_star, t)),
+        expected_risk=_expected_risk(table, table.pi_star > t, loss),
     )
 
 
 def select_mnc(table: ScoreTable) -> SelectionResult:
     """MR under the zero-one loss: keep probability > 0.5."""
-    res = select_mr(table, ZERO_ONE_LOSS)
-    return SelectionResult(
-        criterion="MNC",
-        param=0.5,
-        ranking=res.ranking,
-        selected=res.selected,
-        expected_risk=res.expected_risk,
-    )
+    return replace(select_mr(table, ZERO_ONE_LOSS), criterion="MNC", param=0.5)
 
 
 def select_cmnc(table: ScoreTable, d: int) -> SelectionResult:
     """Keep exactly the top d of the ranking."""
     if d < 0 or d > len(table):
         raise BadSize(f"d={d} outside [0, {len(table)}]")
-    _, ids = _ranked_ids(table)
+    order = table.rank_order()
     return SelectionResult(
-        criterion="CMNC", param=d, ranking=ids, selected=ids[:d]
+        criterion="CMNC", param=d, ranking=table.ids_at(order),
+        selected=table.ids_at(top_cut(order, d, len(table))),
     )
 
 
@@ -172,17 +186,10 @@ def select_np(table: ScoreTable, alpha: float) -> SelectionResult:
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    order, ids = _ranked_ids(table)
-    costs = np.exp(table.log1m_array())[order]
-    total = 0.0
-    k = 0
-    for c in costs:
-        if total + c > alpha:
-            break
-        total += float(c)
-        k += 1
+    order = table.rank_order()
     return SelectionResult(
-        criterion="NP", param=alpha, ranking=ids, selected=ids[:k]
+        criterion="NP", param=alpha, ranking=table.ids_at(order),
+        selected=table.ids_at(budget_cut(order, np.exp(table.log1m), alpha)),
     )
 
 
@@ -196,11 +203,9 @@ class RocCurve:
 def roc(table: ScoreTable) -> RocCurve:
     """Point k is (sum of 1-p, sum of p) over the top-k ranked features."""
     order = table.rank_order()
-    pi = table.pi_star_array()[order]
-    one_m = np.exp(table.log1m_array())[order]
-    xs = np.concatenate(([0.0], np.cumsum(one_m)))
-    ys = np.concatenate(([0.0], np.cumsum(pi)))
-    return RocCurve(points=tuple((float(x), float(y)) for x, y in zip(xs, ys)))
+    xs = np.concatenate(([0.0], np.cumsum(np.exp(table.log1m)[order])))
+    ys = np.concatenate(([0.0], np.cumsum(table.pi_star[order])))
+    return RocCurve(points=tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def subset_posterior(

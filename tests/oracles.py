@@ -211,3 +211,20 @@ def mask_of(subset) -> int:
     for f in subset:
         mask |= 1 << f
     return mask
+
+
+def np_prefix_length(costs, alpha: float) -> int:
+    """How many ranked costs the NP rule keeps: a greedy left-to-right loop.
+
+    Adds costs in rank order and stops at the first one that would take the
+    running total above alpha. This is the loop the package's NP rule used
+    before it became a cumulative sum plus a binary search.
+    """
+    total = 0.0
+    k = 0
+    for c in costs:
+        if total + c > alpha:
+            break
+        total += float(c)
+        k += 1
+    return k

@@ -1,13 +1,15 @@
 """End-to-end command-line behavior: files, exit codes, round trips."""
 
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
+from obf.bayes import jp_prior, pp_prior
 from obf.cli import main
-from obf.dataio import read_csv_text
+from obf.dataio import load_config, read_csv_text
 
 
 JP_PRIOR = "[prior]\npreset = jp\n"
@@ -179,6 +181,36 @@ class TestSelect:
         _, rows_b, _ = read_csv_text(out_b)
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize("blank", ["", "nan"])
+    def test_ok_row_without_score_is_parse_error(self, tmp_path, capsys, blank):
+        ranked = self.ranked_file(tmp_path, [0.9, 0.8, 0.7, 0.6])
+        lines = (tmp_path / "ranked.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = blank
+        lines[2] = ",".join(cells)
+        write(tmp_path / "ranked.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "sel.ini",
+                    "[selection]\ncriterion = np\nalpha = 0.2\n")
+        out = tmp_path / "sel.csv"
+        assert main(["select", ranked, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "log1m_pi_star" in err and "row 3" in err and "column 4" in err
+        assert not out.exists()
+
+    def test_infinite_log_h_is_a_score(self, tmp_path, capsys):
+        ranked = write(
+            tmp_path / "ranked.csv",
+            "feature,log_h,pi_star,log1m_pi_star,rank,status\n"
+            "a,inf,1.0,-inf,1,ok\n"
+            "b,-inf,0.0,0.0,2,ok\n",
+        )
+        cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = mnc\n")
+        out = str(tmp_path / "sel.csv")
+        assert main(["select", ranked, "--config", cfg, "--out", out]) == 0
+        _, rows, _ = read_csv_text(out)
+        assert [r[0] for r in rows] == ["a"]
+        assert "expected_fp=0.0" in capsys.readouterr().out
+
     def test_bad_size_is_config_error(self, tmp_path):
         ranked = self.ranked_file(tmp_path, [0.9, 0.4])
         cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = cmnc\nd = 5\n")
@@ -212,6 +244,79 @@ class TestRoc:
         _, rows_a, _ = read_csv_text(out_a + ".csv")
         _, rows_b, _ = read_csv_text(out_b + ".csv")
         assert rows_a == rows_b
+
+
+class TestInputReads:
+    @pytest.mark.parametrize("command", ["select", "roc"])
+    @pytest.mark.parametrize("source", ["dataset", "ranked"])
+    def test_input_opened_once(self, tmp_path, monkeypatch, command, source):
+        data = toy_dataset(tmp_path)
+        cfg = write(tmp_path / "cfg.ini",
+                    JP_PRIOR + "\n[selection]\ncriterion = mnc\n")
+        path = data
+        if source == "ranked":
+            path = str(tmp_path / "ranked.csv")
+            assert main(["rank", data, "--config", cfg, "--out", path]) == 0
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if os.fspath(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        out = str(tmp_path / "out")
+        assert main([command, path, "--config", cfg, "--out", out]) == 0
+        assert len(opened) == 1
+
+
+class TestErrors:
+    @pytest.mark.parametrize("command", ["rank", "select", "roc"])
+    def test_missing_input_exit_2(self, tmp_path, capsys, command):
+        cfg = write(tmp_path / "cfg.ini",
+                    JP_PRIOR + "\n[selection]\ncriterion = mnc\n")
+        missing = str(tmp_path / "nonexistent.csv")
+        code = main([command, missing, "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonexistent.csv" in err
+
+    def test_undecodable_input_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"a,b,label\n1.0,\xff2.0,0\n")
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR)
+        code = main(["rank", str(data), "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_prior_leaving_no_scorable_feature_exit_3(self, tmp_path, capsys):
+        data = toy_dataset(tmp_path)
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR + "kappa0 = -500\n")
+        code = main(["rank", data, "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_outputs_honour_umask(tmp_path):
+    data = toy_dataset(tmp_path)
+    cfg = write(tmp_path / "cfg.ini", JP_PRIOR)
+    out = tmp_path / "ranked.csv"
+    previous = os.umask(0o022)
+    try:
+        assert main(["rank", data, "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("preset, expected", [("pp", pp_prior), ("jp", jp_prior)])
+def test_prior_presets_match_library(tmp_path, preset, expected):
+    cfg = write(tmp_path / "cfg.ini", f"[prior]\npreset = {preset}\n")
+    assert load_config(cfg).prior == expected()
 
 
 SYNTH_SMALL = """
@@ -311,3 +416,100 @@ class TestConsistency:
         cfg = write(tmp_path / "run.ini", SYNTH_SMALL)
         assert main(["consistency", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 3
+
+
+GOLDEN_PLAN = """
+[plan]
+n_grid = 20,40
+replicates = 3
+base_seed = 4
+methods = mr-obf-pp:T=0.3; mnc-obf-jp; cmnc-obf-pp:D=20; np-obf-jp:alpha=0.5; np-obf-pp:alpha=2; t:D=20; welch:D=30; bd:D=20; mi:D=20; wilks:D=20
+"""
+GOLDEN_SELECTIONS = {
+    "mr": "criterion = mr\nt = 0.3\n",
+    "mnc": "criterion = mnc\n",
+    "cmnc": "criterion = cmnc\nd = 15\n",
+    "np": "criterion = np\nalpha = 0.5\n",
+}
+# sha256 of every output of the run in golden_outputs, and select's stdout;
+# a change that moves any byte of them fails here
+GOLDEN_DIGESTS = {
+    "jp-cmnc.csv": "6786eeb5593bb78274a50f6d41b586aaaf8e301de2e46637c5d79b678cf1115d",
+    "jp-mnc.csv": "990a07496f7dbd33f7da16a80c618ed4aaef2cd2bf81b662cf2e54511f8a783c",
+    "jp-mr.csv": "97d696bdbca6a0f034e6beaeb2a58f00d06029797cd93aa6abaaf48708061f77",
+    "jp-np.csv": "fc9dcf5bfcc431de87817d3bce60c40f4dd56ebde65b33608a94e88854eb39f5",
+    "jp-ranked.csv": "df6cef81c1a3b2039b299dc206be6f341264e99059438da15cffccf00ebb76e3",
+    "jp-roc.csv": "fe5c5506c059ffd87a0e17da863e0cbdfa857cd8d06480cd91ea72814a19bdf6",
+    "jp-roc.svg": "51c4f7683aecb04d51eaa65a0afc7fbeed8d48473e0b7dc6149146c717f3b137",
+    "pp-cmnc.csv": "82e444d1a441ef2d80005cb89c560865dcd875f9d28e5114473991ad9e2f5999",
+    "pp-mnc.csv": "cb2eae44b9b2225187dc75cd5ec80e72cec57332487d6be27813b5a8631b5bc6",
+    "pp-mr.csv": "90b6e8eef3615932cb4ce23a32890d11dcb8119ef92af73bfb08e2c777002354",
+    "pp-np.csv": "fa285668e85e59d8cce109271c3cdeff58340f9fe6f2d292386e65352736a335",
+    "pp-ranked.csv": "5018df2defc3195d2877524ff40144ac9bdafa7116115d5f808a28bb0f7e0ff3",
+    "pp-roc.csv": "9505a9ecb093fd57cbd12a348e6afc02c36519a96a64e57769a4bdb1d42d75ad",
+    "pp-roc.svg": "87c6b51c7a2f7c6283390f0fdbd4015c1af39aa556288f628492452a8e9e6643",
+    "sim.csv": "70b9c69a84c47f591d82b266d043403230e7d43e45f7e6d92bba53d5b6fe1f69",
+    "sim.truth.csv": "104c23f42a6b207ab33ef856c69641cb19c42f148bc017209035d7969ca1001b",
+    "sweep/consistency.svg": "8d8dec63c2f353e5607aee44bdc534fdec49bcb80f5f83c43b2160be5003b563",
+    "sweep/metrics.csv": "ba73baf01be1cec7ac0cfc22a00ea5024db1a29ae1271010f18c1d5717d4bf8d",
+}
+GOLDEN_SELECT_STDOUT = {
+    "jp-cmnc": 'selected=15 expected_tp=10.499001490732011 expected_fp=4.500998509267992\n',
+    "jp-mnc": 'selected=10 expected_tp=8.672422781104128 expected_fp=1.3275772188958723\n',
+    "jp-mr": 'selected=14 expected_tp=10.407235998300205 expected_fp=3.5927640016997975\n',
+    "jp-np": 'selected=8 expected_tp=7.583835189482838 expected_fp=0.41616481051716153\n',
+    "pp-cmnc": 'selected=15 expected_tp=8.470058409003409 expected_fp=6.5299415909965886\n',
+    "pp-mnc": 'selected=8 expected_tp=7.043275285915131 expected_fp=0.9567247140848685\n',
+    "pp-mr": 'selected=9 expected_tp=7.380893933440264 expected_fp=1.619106066559735\n',
+    "pp-np": 'selected=6 expected_tp=5.619189858381226 expected_fp=0.3808101416187738\n',
+}
+
+
+def golden_outputs(tmp_path, capsys):
+    """Digests of every output, and select's stdout, on one small run.
+
+    select and roc run on the dataset and on the ranked file, which must
+    give the same bytes.
+    """
+    digests, stdout = {}, {}
+
+    def run(name, *argv, outputs=()):
+        assert main(list(argv)) == 0, name
+        printed = capsys.readouterr().out
+        for suffix in outputs:
+            data = (tmp_path / f"{name}{suffix}").read_bytes()
+            digest = hashlib.sha256(data).hexdigest()
+            assert digests.setdefault(name.split("@")[0] + suffix, digest) == digest
+        return printed
+
+    cfg = write(tmp_path / "sweep.ini", SYNTH_SMALL + GOLDEN_PLAN)
+    run("sim", "simulate", "--config", cfg, "--n", "40", "--seed", "5",
+        "--out", str(tmp_path / "sim.csv"), outputs=(".csv", ".truth.csv"))
+    run("sweep", "consistency", "--config", cfg, "--out", str(tmp_path / "sweep"),
+        outputs=("/metrics.csv", "/consistency.svg"))
+    data = str(tmp_path / "sim.csv")
+    for prior in ("pp", "jp"):
+        cfg = write(tmp_path / f"{prior}.ini", f"[prior]\npreset = {prior}\n")
+        ranked = str(tmp_path / f"{prior}-ranked.csv")
+        run(f"{prior}-ranked", "rank", data, "--config", cfg, "--seed", "3",
+            "--out", ranked, outputs=(".csv",))
+        for source, path in (("data", data), ("ranked", ranked)):
+            run(f"{prior}-roc@{source}", "roc", path, "--config", cfg,
+                "--out", str(tmp_path / f"{prior}-roc@{source}"),
+                outputs=(".csv", ".svg"))
+            for crit, section in GOLDEN_SELECTIONS.items():
+                sel_cfg = write(tmp_path / f"{prior}-{crit}.ini",
+                                f"[prior]\npreset = {prior}\n[selection]\n{section}")
+                name = f"{prior}-{crit}"
+                printed = run(f"{name}@{source}", "select", path,
+                              "--config", sel_cfg,
+                              "--out", str(tmp_path / f"{name}@{source}.csv"),
+                              outputs=(".csv",))
+                assert stdout.setdefault(name, printed) == printed
+    return digests, stdout
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    digests, stdout = golden_outputs(tmp_path, capsys)
+    assert digests == GOLDEN_DIGESTS
+    assert stdout == GOLDEN_SELECT_STDOUT

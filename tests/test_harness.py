@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.errors import ConfigInvalid
 from obf.harness import (
+    MARKER_TAGS,
     ExperimentPlan,
     MethodSpec,
     parse_method,
@@ -13,7 +15,10 @@ from obf.harness import (
     run_sweep,
     score_selection,
 )
-from obf.synth import DESK_GROUP_SIGMAS, SynthConfig
+from obf.rng import replicate_seed
+from obf.synth import DESK_GROUP_SIGMAS, SynthConfig, generate
+
+from oracles import np_prefix_length
 
 
 def toy_separated_config():
@@ -157,6 +162,35 @@ class TestRunPlan:
         short = ExperimentPlan(small_config(), (20,), 3, methods, base_seed=6)
         long = ExperimentPlan(small_config(), (20, 40), 3, methods, base_seed=6)
         assert run_plan(short)[0] == run_plan(long)[0]
+
+
+class TestNpAgainstLoop:
+    @pytest.mark.filterwarnings("ignore:pi at the boundary")
+    @pytest.mark.parametrize("text", [
+        "np-obf-jp:alpha=0.5", "np-obf-pp:alpha=2",
+        # pi = 1: every score is +inf, so all features tie at cost 0
+        "np-obf-jp:alpha=0,pi=1",
+    ])
+    def test_rows_match_greedy_loop(self, text):
+        method = parse_method(text)
+        plan = ExperimentPlan(small_config(), (30,), 2, (method,), base_seed=8)
+        row = run_plan(plan)[0]
+        pi = method.pi if method.pi is not None else 0.005
+        prior = pp_prior(pi) if method.preset == "pp" else jp_prior(pi)
+        selected, true_pos = [], []
+        for rep in range(2):
+            data = generate(plan.synth, 30, replicate_seed(8, 30, rep))
+            lh, _, log1m, ok = log_h_table(
+                prior, matrix_stats(data.values, data.labels)
+            )
+            order = np.argsort(-np.where(ok, lh, -np.inf), kind="stable")
+            costs = np.where(ok[order], np.exp(log1m[order]), np.inf)
+            picked = order[:np_prefix_length(costs, method.param)]
+            truth = np.array([t in MARKER_TAGS for t in data.truth])
+            selected.append(picked.size)
+            true_pos.append(int(np.count_nonzero(truth[picked])))
+        assert row.mean_selected == np.mean(selected)
+        assert row.mean_true_positives == np.mean(true_pos)
 
 
 class TestProbe:

@@ -12,6 +12,8 @@ from obf.selection import (
     LossSpec,
     ScoreTable,
     ZERO_ONE_LOSS,
+    budget_cut,
+    rank_order,
     roc,
     select_cmnc,
     select_map,
@@ -23,7 +25,7 @@ from obf.selection import (
 )
 from obf.special import logistic, logit
 
-from oracles import exhaustive_risks, mask_of
+from oracles import exhaustive_risks, mask_of, np_prefix_length
 
 
 def table_from_pi(pis, ids=None):
@@ -41,7 +43,14 @@ class TestScoreTable:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            ScoreTable(feature_ids=("a",), scores=())
+            ScoreTable(feature_ids=("a",), log_h=(), pi_star=(), log1m=())
+
+    def test_holds_read_only_float_arrays(self):
+        table = table_from_pi([0.9, 0.4])
+        assert table.pi_star.dtype == np.float64
+        assert table.pi_star.tolist() == [0.9, 0.4]
+        with pytest.raises(ValueError):
+            table.log_h[0] = 0.0
 
 
 class TestLossSpec:
@@ -282,6 +291,41 @@ def test_np_budget_nesting(pis, a1, a2):
     sel_lo = set(select_np(table, lo).selected)
     sel_hi = set(select_np(table, hi).selected)
     assert sel_lo <= sel_hi
+
+
+# probabilities that tie often and include cost-0 (pi_star = 1) features
+TIED_PIS = st.lists(
+    st.sampled_from([0.0, 0.2, 0.5, 0.9, 0.999, 1.0])
+    | st.floats(min_value=0.0, max_value=1.0),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pis=TIED_PIS, alpha=st.floats(min_value=0.0, max_value=6.0))
+def test_np_matches_greedy_loop(pis, alpha):
+    table = table_from_pi(pis)
+    res = select_np(table, alpha)
+    costs = np.exp(table.log1m)[table.rank_order()]
+    assert res.selected == res.ranking[:np_prefix_length(costs, alpha)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pis=TIED_PIS,
+    ok_bits=st.lists(st.booleans(), min_size=12, max_size=12),
+    alpha=st.floats(min_value=0.0, max_value=6.0),
+)
+def test_masked_np_matches_greedy_loop(pis, ok_bits, alpha):
+    """The sweep's NP rule: unscorable features carry NaN scores, cost inf."""
+    ok = np.array(ok_bits[:len(pis)])
+    table = table_from_pi(pis)
+    lh = np.where(ok, table.log_h, np.nan)
+    log1m = np.where(ok, table.log1m, np.nan)
+    order = rank_order(lh, ok)
+    costs = np.where(ok[order], np.exp(log1m[order]), np.inf)
+    picked = budget_cut(order, np.where(ok, np.exp(log1m), np.inf), alpha)
+    assert picked.tolist() == order[:np_prefix_length(costs, alpha)].tolist()
 
 
 def test_rank_invariance_under_constant_shift():
