@@ -41,6 +41,7 @@ from .errors import (
     ImproperPrior,
     NotPD,
     ObfError,
+    OutputError,
     TooLarge,
 )
 from .harness import (
@@ -48,7 +49,6 @@ from .harness import (
     MethodSpec,
     MetricRow,
     parse_method,
-    posterior_convergence_probe,
     run_plan,
     run_sweep,
     score_selection,

@@ -5,14 +5,15 @@ and mutual information all mean stronger evidence of a class difference,
 while a smaller Wilks lambda does (its score is reported as log lambda and
 ranked by the negative).
 
-Scalar functions operate on one feature's ``FeatureStats``; the ``*_array``
-variants score a whole matrix at once and flag unscorable features instead
-of raising, which is what a large screen needs.
+The ``*_array`` kernels score a whole matrix at once and flag unscorable
+features instead of raising, which is what a large screen needs. The scalar
+functions are one-feature views of those kernels: they take one feature's
+``FeatureStats`` (or column) and raise ``DegenerateData`` where the kernel
+flags the feature.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -38,110 +39,56 @@ class BaselineScore:
     pvalue: Optional[float] = None
 
 
+def _one_feature(stats: FeatureStats, method: str) -> MatrixStats:
+    if stats.class0.n < 2 or stats.class1.n < 2:
+        raise DegenerateData(f"{method} needs n >= 2 in each class")
+    return MatrixStats.of_feature(stats)
+
+
 def welch_t(stats: FeatureStats) -> BaselineScore:
     """Welch's two-sample t statistic with Welch-Satterthwaite df.
 
     Both-variances-zero cases follow fixed conventions instead of failing:
     equal means report (0, p=1), unequal means report (+-inf, p=0).
     """
-    c0, c1 = stats.class0, stats.class1
-    if c0.n < 2 or c1.n < 2:
-        raise DegenerateData("welch_t needs n >= 2 in each class")
-    se2_0 = c0.var / c0.n
-    se2_1 = c1.var / c1.n
-    diff = c0.mean - c1.mean
-    if se2_0 + se2_1 == 0.0:
-        if diff == 0.0:
-            return BaselineScore(WELCH_T, 0.0, 1.0)
-        return BaselineScore(WELCH_T, math.copysign(math.inf, diff), 0.0)
-    t = diff / math.sqrt(se2_0 + se2_1)
-    df = (se2_0 + se2_1) ** 2 / (
-        se2_0 ** 2 / (c0.n - 1) + se2_1 ** 2 / (c1.n - 1)
-    )
+    ms = _one_feature(stats, "welch_t")
+    t, _ = welch_t_array(ms)
+    t, df = float(t[0]), float(welch_df_array(ms)[0])
     return BaselineScore(WELCH_T, t, student_t_two_sided_p(t, df))
 
 
 def bhattacharyya(stats: FeatureStats) -> BaselineScore:
-    """Bhattacharyya distance between the two fitted Gaussians.
-
-    BD = (mu0 - mu1)^2 / (4 (v0 + v1)) + 1/2 ln((v0 + v1) / (2 sqrt(v0 v1))).
-    """
-    c0, c1 = stats.class0, stats.class1
-    if c0.n < 2 or c1.n < 2 or c0.var <= 0.0 or c1.var <= 0.0:
+    """Bhattacharyya distance between the two fitted Gaussians (``bd_array``)."""
+    bd, ok = bd_array(_one_feature(stats, "bhattacharyya"))
+    if not ok[0]:
         raise DegenerateData("bhattacharyya needs positive variance in each class")
-    vsum = c0.var + c1.var
-    bd = (c0.mean - c1.mean) ** 2 / (4.0 * vsum) + 0.5 * math.log(
-        vsum / (2.0 * math.sqrt(c0.var * c1.var))
-    )
-    return BaselineScore(BHATTACHARYYA, bd)
-
-
-def _spacing_entropy(sorted_x: np.ndarray, clamp_eps: float) -> tuple[float, int]:
-    """Order-1 spacing entropy estimate of a sorted sample.
-
-    H = mean over i of log((n + 1) (x_(i+1) - x_(i))), with zero spacings
-    clamped to ``clamp_eps`` before the log (ties make the raw estimator
-    undefined). Returns the estimate and the number of clamped spacings.
-    """
-    n = sorted_x.size
-    gaps = np.diff(sorted_x)
-    clamped = int(np.count_nonzero(gaps == 0.0))
-    if clamped:
-        gaps = np.where(gaps == 0.0, clamp_eps, gaps)
-    return float(np.mean(np.log((n + 1.0) * gaps))), clamped
+    return BaselineScore(BHATTACHARYYA, float(bd[0]))
 
 
 def mi_spacing(column, labels) -> BaselineScore:
-    """Mutual information between a feature and the labels via spacing entropies.
+    """Mutual information between a feature and the labels (``mi_array``).
 
-    MI = H(X) - sum_y (n_y / n) H(X | y), each entropy from the order-1
-    sample-spacing estimator. Warns when more than 10% of spacings were
-    tied and had to be clamped.
+    Warns when more than 10% of spacings were tied and had to be clamped.
     """
     x = np.asarray(column, dtype=np.float64)
-    y = np.asarray(labels)
-    mask1 = y == 1
-    x0 = np.sort(x[~mask1])
-    x1 = np.sort(x[mask1])
-    if x0.size < 4 or x1.size < 4:
-        raise DegenerateData("mi_spacing needs at least 4 points per class")
-    xs = np.sort(x)
-    eps = _SPACING_CLAMP_SCALE * (float(xs[-1] - xs[0]) + 1.0)
-    h_all, c_all = _spacing_entropy(xs, eps)
-    h0, c0 = _spacing_entropy(x0, eps)
-    h1, c1 = _spacing_entropy(x1, eps)
-    n = x.size
-    total_gaps = (n - 1) + (x0.size - 1) + (x1.size - 1)
-    if (c_all + c0 + c1) > 0.1 * total_gaps:
+    mi, clamped, gaps = _mi_columns(x[:, None], labels)
+    if clamped[0] > 0.1 * gaps:
         warnings.warn(
-            f"mi_spacing clamped {c_all + c0 + c1}/{total_gaps} tied spacings",
+            f"mi_spacing clamped {clamped[0]}/{gaps} tied spacings",
             stacklevel=2,
         )
-    mi = h_all - (x0.size / n) * h0 - (x1.size / n) * h1
-    return BaselineScore(MI_SPACING, mi)
-
-
-def _biased(var: float, n: int) -> float:
-    return (n - 1) / n * var
+    return BaselineScore(MI_SPACING, float(mi[0]))
 
 
 def wilks_lambda(stats: FeatureStats) -> BaselineScore:
-    """Log of the two-population variance-ratio statistic (biased variances).
+    """Log of the two-population variance-ratio statistic (``wilks_array``).
 
-    log lambda = (n0/2) log v0 + (n1/2) log v1 - (n/2) log v, where each v is
-    the biased (divide-by-n) variance. Smaller lambda is stronger evidence,
-    so rankings use -log lambda.
+    Smaller lambda is stronger evidence, so rankings use -log lambda.
     """
-    c0, c1, cp = stats.class0, stats.class1, stats.pooled
-    if c0.n < 2 or c1.n < 2:
-        raise DegenerateData("wilks_lambda needs n >= 2 in each class")
-    v0 = _biased(c0.var, c0.n)
-    v1 = _biased(c1.var, c1.n)
-    vp = _biased(cp.var, cp.n)
-    if v0 <= 0.0 or v1 <= 0.0 or vp <= 0.0:
+    value, ok = wilks_array(_one_feature(stats, "wilks_lambda"))
+    if not ok[0]:
         raise DegenerateData("wilks_lambda needs positive biased variances")
-    value = 0.5 * (c0.n * math.log(v0) + c1.n * math.log(v1) - cp.n * math.log(vp))
-    return BaselineScore(WILKS_LAMBDA, value)
+    return BaselineScore(WILKS_LAMBDA, float(value[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +102,7 @@ def welch_t_array(ms: MatrixStats):
     diff = ms.mean0 - ms.mean1
     with np.errstate(divide="ignore", invalid="ignore"):
         t = diff / np.sqrt(se2)
-    # zero-variance conventions match the scalar op: 0 or +-inf
+    # zero-variance conventions: 0 for equal means, +-inf otherwise
     t = np.where(
         se2 == 0.0,
         np.where(diff == 0.0, 0.0, np.where(diff > 0, np.inf, -np.inf)),
@@ -173,6 +120,7 @@ def welch_df_array(ms: MatrixStats):
 
 
 def bd_array(ms: MatrixStats):
+    """BD = (mu0 - mu1)^2 / (4 (v0 + v1)) + 1/2 ln((v0 + v1) / (2 sqrt(v0 v1)))."""
     ok = (ms.var0 > 0.0) & (ms.var1 > 0.0)
     vsum = ms.var0 + ms.var1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,6 +131,10 @@ def bd_array(ms: MatrixStats):
 
 
 def wilks_array(ms: MatrixStats):
+    """log lambda = (n0/2) log v0 + (n1/2) log v1 - (n/2) log v.
+
+    Each v is a biased (divide-by-n) variance.
+    """
     n0, n1, n = ms.n0, ms.n1, ms.n
     v0 = (n0 - 1) / n0 * ms.var0
     v1 = (n1 - 1) / n1 * ms.var1
@@ -193,28 +145,44 @@ def wilks_array(ms: MatrixStats):
     return np.where(ok, value, np.nan), ok
 
 
-def mi_array(values: np.ndarray, labels: np.ndarray):
-    """Column-wise spacing-estimator mutual information for a sample matrix."""
+def _spacing_entropy(x: np.ndarray, clamp_eps):
+    """Order-1 spacing entropy of each column, and its count of clamped gaps.
+
+    H = mean over i of log((n + 1) (x_(i+1) - x_(i))) over the sorted
+    column, with zero spacings clamped to ``clamp_eps`` before the log (ties
+    make the raw estimator undefined).
+    """
+    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    tied = gaps == 0.0
+    gaps = np.where(tied, clamp_eps, gaps)
+    entropy = np.mean(np.log((x.shape[0] + 1.0) * gaps), axis=0)
+    return entropy, np.count_nonzero(tied, axis=0)
+
+
+def _mi_columns(values: np.ndarray, labels: np.ndarray):
+    """Spacing MI of each column, its clamped-gap count, and the gap total.
+
+    MI = H(X) - sum_y (n_y / n) H(X | y).
+    """
     values = np.asarray(values, dtype=np.float64)
     mask1 = np.asarray(labels) == 1
     n = values.shape[0]
     n1 = int(np.count_nonzero(mask1))
     n0 = n - n1
     if n0 < 4 or n1 < 4:
-        raise DegenerateData("mi_array needs at least 4 points per class")
+        raise DegenerateData("mutual information needs at least 4 points per class")
 
     eps = _SPACING_CLAMP_SCALE * (
         np.max(values, axis=0) - np.min(values, axis=0) + 1.0
     )
-
-    def entropies(x: np.ndarray) -> np.ndarray:
-        xs = np.sort(x, axis=0)
-        gaps = np.diff(xs, axis=0)
-        gaps = np.where(gaps == 0.0, eps, gaps)
-        return np.mean(np.log((x.shape[0] + 1.0) * gaps), axis=0)
-
-    h_all = entropies(values)
-    h0 = entropies(values[~mask1])
-    h1 = entropies(values[mask1])
+    h_all, c_all = _spacing_entropy(values, eps)
+    h0, c0 = _spacing_entropy(values[~mask1], eps)
+    h1, c1 = _spacing_entropy(values[mask1], eps)
     mi = h_all - (n0 / n) * h0 - (n1 / n) * h1
-    return mi, np.ones(values.shape[1], dtype=bool)
+    return mi, c_all + c0 + c1, (n - 1) + (n0 - 1) + (n1 - 1)
+
+
+def mi_array(values: np.ndarray, labels: np.ndarray):
+    """Column-wise spacing-estimator mutual information for a sample matrix."""
+    mi, _, _ = _mi_columns(values, labels)
+    return mi, np.ones(mi.shape[0], dtype=bool)

@@ -216,28 +216,39 @@ def jp_prior(pi: float = 0.005, L: float = DEFAULT_IMPROPER_L) -> PriorSpec:
     return PriorSpec(good0=block, good1=block, bad=block, pi=pi, logL=math.log(L))
 
 
+def _starred(block: NIWHyper, n, mean, var):
+    """Updated (s*, kappa*, nu*) of one block; array-safe in ``mean``/``var``.
+
+    kappa* = kappa + n, nu* = nu + n, and
+    s* = s + (n-1) var + (nu n / (nu + n)) (mean - m)^2, where the last term
+    is present only when nu > 0.
+    """
+    kappa_star = block.kappa + n
+    nu_star = block.nu + n
+    s_star = block.s + (n - 1) * var
+    if block.nu > 0.0:
+        s_star = s_star + (block.nu * n / nu_star) * (mean - block.m) ** 2
+    return s_star, kappa_star, nu_star
+
+
 def update_hyper(prior: NIWHyper, stats: ClassStats, context=None) -> PosteriorHyper:
     """Condition one block on a sample's sufficient statistics.
 
-    kappa* = kappa + n, nu* = nu + n, m* = (nu m + n mean)/(nu + n), and
-    s* = s + (n-1) var + (nu n / (nu + n)) (mean - m)^2. Raises
+    s*, kappa* and nu* are those of ``log_h_table``; m* = (nu m + n mean) /
+    (nu + n), and an empty sample leaves the block as it is. Raises
     ``DegenerateData`` when any of s*, kappa*, nu* fails to be positive,
     which happens for constant features under improper priors.
     """
     n = stats.n
-    kappa_star = prior.kappa + n
-    nu_star = prior.nu + n
-    if n == 0:
-        m_star = prior.m
-        s_star = prior.s
-    else:
-        m_prior = prior.m if prior.m is not None else 0.0
-        m_star = (prior.nu * m_prior + n * stats.mean) / nu_star
-        ss = (n - 1) * stats.var if n >= 2 else 0.0
-        shrink = 0.0
-        if prior.nu > 0.0:
-            shrink = (prior.nu * n / nu_star) * (stats.mean - m_prior) ** 2
-        s_star = prior.s + ss + shrink
+    # an absent mean (n = 0) or variance (n < 2) has a zero coefficient
+    s_star, kappa_star, nu_star = _starred(
+        prior, n,
+        stats.mean if n >= 1 else prior.m,
+        stats.var if n >= 2 else 0.0,
+    )
+    m_star = prior.m if n == 0 else (
+        (prior.nu * (prior.m or 0.0) + n * stats.mean) / nu_star
+    )
     if not (s_star > 0.0 and kappa_star > 0.0 and nu_star > 0.0):
         raise DegenerateData(
             f"updated hyperparameters must be positive "
@@ -287,88 +298,48 @@ def derive_logL(spec: PriorSpec) -> float:
     )
 
 
-def _score_from_log_h(value: float) -> FeatureScore:
-    return FeatureScore(
-        log_h=value,
-        pi_star=logistic(value),
-        log1m_pi_star=-softplus(value),
-    )
-
-
 def log_h(spec: PriorSpec, stats: FeatureStats, feature=None) -> FeatureScore:
     """Posterior log-odds that a feature differs between the classes.
 
-    log h = logit(pi) + log L + 1/2 log(2 pi nu* / (nu0* nu1*))
-            + lnG(kappa0*/2) + lnG(kappa1*/2) - lnG(kappa*/2)
-            + kappa*/2 log(s*/2) - kappa0*/2 log(s0*/2) - kappa1*/2 log(s1*/2),
-
-    where starred values come from updating the class blocks on their class
-    samples and the pooled block on the pooled sample. pi in {0, 1} is a
-    documented degenerate passthrough yielding -inf/+inf log-odds without
-    touching the data.
+    The one-feature view of ``log_h_table``, which gives the formula. A
+    feature the table would flag ``ok = False`` raises ``DegenerateData``
+    naming ``feature`` and the block (``class0``, ``class1`` or
+    ``pooled``) whose update failed. pi in {0, 1} is a documented degenerate
+    passthrough yielding -inf/+inf log-odds without touching the data.
     """
-    if spec.pi == 0.0:
-        return _score_from_log_h(-math.inf)
-    if spec.pi == 1.0:
-        return _score_from_log_h(math.inf)
-    try:
-        p0 = update_hyper(spec.good0, stats.class0, context="class0")
-        p1 = update_hyper(spec.good1, stats.class1, context="class1")
-        pb = update_hyper(spec.bad, stats.pooled, context="pooled")
-    except DegenerateData as err:
-        raise DegenerateData(str(err), feature=feature, context=err.context) from None
-    value = (
-        logit(spec.pi)
-        + spec.logL
-        + 0.5 * (_LOG_2PI + math.log(pb.nu_star)
-                 - math.log(p0.nu_star) - math.log(p1.nu_star))
-        + log_gamma(0.5 * p0.kappa_star)
-        + log_gamma(0.5 * p1.kappa_star)
-        - log_gamma(0.5 * pb.kappa_star)
-        + 0.5 * pb.kappa_star * math.log(0.5 * pb.s_star)
-        - 0.5 * p0.kappa_star * math.log(0.5 * p0.s_star)
-        - 0.5 * p1.kappa_star * math.log(0.5 * p1.s_star)
+    if 0.0 < spec.pi < 1.0:
+        blocks = (
+            (spec.good0, stats.class0, "class0"),
+            (spec.good1, stats.class1, "class1"),
+            (spec.bad, stats.pooled, "pooled"),
+        )
+        for block, sample, context in blocks:
+            try:
+                update_hyper(block, sample, context=context)
+            except DegenerateData as err:
+                err.feature = feature
+                raise
+    lh, pi_star, log1m, _ = log_h_table(spec, MatrixStats.of_feature(stats))
+    return FeatureScore(
+        log_h=float(lh[0]), pi_star=float(pi_star[0]),
+        log1m_pi_star=float(log1m[0]),
     )
-    return _score_from_log_h(value)
-
-
-def _moments(x: np.ndarray) -> tuple[int, float, float | None]:
-    """Count, mean, and unbiased variance of a 1-D sample.
-
-    Variance uses the compensated two-pass formula, so it is translation
-    invariant to machine precision.
-    """
-    n = int(x.size)
-    if n == 0:
-        return 0, None, None
-    mean = float(np.sum(x) / n)
-    if n == 1:
-        return n, mean, None
-    d = x - mean
-    ss = float(np.sum(d * d) - np.sum(d) ** 2 / n)
-    return n, mean, max(ss, 0.0) / (n - 1)
 
 
 def compute_stats(column, labels) -> FeatureStats:
     """Per-class and pooled statistics of one feature column.
 
-    ``labels`` must contain only 0 and 1 and both classes must be present.
+    The one-feature view of ``matrix_stats``: ``labels`` must contain only 0
+    and 1, with at least 2 points in each class.
     """
     x = np.asarray(column, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.shape != y.shape or x.ndim != 1:
+    if x.ndim != 1 or x.shape != np.shape(labels):
         raise ValueError("column and labels must be 1-D and the same length")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be 0 or 1")
-    mask1 = y == 1
-    x0 = x[~mask1]
-    x1 = x[mask1]
-    if x0.size == 0 or x1.size == 0:
-        raise EmptyClass("both classes must contain at least one point")
+    ms = matrix_stats(x[:, None], labels)
     return FeatureStats(
-        class0=ClassStats(*_moments(x0)),
-        class1=ClassStats(*_moments(x1)),
-        pooled=ClassStats(*_moments(x)),
+        class0=ClassStats(ms.n0, float(ms.mean0[0]), float(ms.var0[0])),
+        class1=ClassStats(ms.n1, float(ms.mean1[0]), float(ms.var1[0])),
+        pooled=ClassStats(ms.n, float(ms.mean[0]), float(ms.var[0])),
     )
 
 
@@ -389,6 +360,20 @@ class MatrixStats:
     def n(self) -> int:
         return self.n0 + self.n1
 
+    @classmethod
+    def of_feature(cls, fs: FeatureStats) -> "MatrixStats":
+        """One-feature table of ``fs``.
+
+        A mean absent at n = 0 or a variance absent at n < 2 enters as 0,
+        where its coefficient in every update is 0.
+        """
+        c0, c1, cp = fs.class0, fs.class1, fs.pooled
+        mean0, mean1, mean, var0, var1, var = (
+            np.array([v or 0.0])
+            for v in (c0.mean, c1.mean, cp.mean, c0.var, c1.var, cp.var)
+        )
+        return cls(c0.n, c1.n, mean0, mean1, var0, var1, mean, var)
+
 
 def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
@@ -399,9 +384,14 @@ def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_stats(values: np.ndarray, labels: np.ndarray) -> MatrixStats:
-    """Class/pooled moments of every column; needs >= 2 points per class."""
+    """Class/pooled moments of every column; needs >= 2 points per class.
+
+    ``labels`` must contain only 0 and 1.
+    """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
     mask1 = labels == 1
     n1 = int(np.count_nonzero(mask1))
     n0 = int(labels.size - n1)
@@ -419,6 +409,13 @@ def matrix_stats(values: np.ndarray, labels: np.ndarray) -> MatrixStats:
 def log_h_table(spec: PriorSpec, stats: MatrixStats):
     """Vectorized scores for every feature of a dataset.
 
+    log h = logit(pi) + log L + 1/2 log(2 pi nu* / (nu0* nu1*))
+            + lnG(kappa0*/2) + lnG(kappa1*/2) - lnG(kappa*/2)
+            + kappa*/2 log(s*/2) - kappa0*/2 log(s0*/2) - kappa1*/2 log(s1*/2),
+
+    where starred values come from updating the class blocks on their class
+    samples and the pooled block on the pooled sample.
+
     Returns ``(log_h, pi_star, log1m_pi_star, ok)`` arrays. Features whose
     updated scales are not strictly positive are flagged ``ok = False`` and
     carry NaN scores instead of raising, so one bad probe cannot abort a
@@ -430,17 +427,9 @@ def log_h_table(spec: PriorSpec, stats: MatrixStats):
         lh = np.full(nf, sign)
         return lh, logistic(lh), -softplus(lh), np.ones(nf, dtype=bool)
 
-    def starred(block: NIWHyper, n, mean, var):
-        kappa_star = block.kappa + n
-        nu_star = block.nu + n
-        s_star = block.s + (n - 1) * var
-        if block.nu > 0.0:
-            s_star = s_star + (block.nu * n / nu_star) * (mean - block.m) ** 2
-        return s_star, kappa_star, nu_star
-
-    s0, k0, v0 = starred(spec.good0, stats.n0, stats.mean0, stats.var0)
-    s1, k1, v1 = starred(spec.good1, stats.n1, stats.mean1, stats.var1)
-    sp, kp, vp = starred(spec.bad, stats.n, stats.mean, stats.var)
+    s0, k0, v0 = _starred(spec.good0, stats.n0, stats.mean0, stats.var0)
+    s1, k1, v1 = _starred(spec.good1, stats.n1, stats.mean1, stats.var1)
+    sp, kp, vp = _starred(spec.bad, stats.n, stats.mean, stats.var)
     ok = (s0 > 0.0) & (s1 > 0.0) & (sp > 0.0)
     if not (k0 > 0 and k1 > 0 and kp > 0 and v0 > 0 and v1 > 0 and vp > 0):
         raise DegenerateData(

@@ -1,8 +1,9 @@
 """Command-line interface: rank, select, simulate, consistency, roc.
 
 Exit codes: 0 all requested outputs written, 2 input file missing,
-unreadable or malformed, 3 configuration error (including a prior that
-leaves no feature scorable at this sample size), 4 all features degenerate.
+unreadable or malformed, or output path cannot be written, 3 configuration
+error (including a prior that leaves no feature scorable at this sample
+size), 4 all features degenerate.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     EmptyClass,
     ImproperPrior,
     NotPD,
+    OutputError,
     TooLarge,
 )
 from .harness import ExperimentPlan, run_plan
@@ -268,8 +270,11 @@ def cmd_consistency(args) -> int:
         synth=synth, n_grid=cfg.n_grid, replicates=cfg.replicates,
         methods=cfg.methods, base_seed=cfg.base_seed,
     )
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        raise OutputError(f"cannot write {args.out}: {err.strerror}") from None
     rows = run_plan(plan, threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
     comments = provenance_lines(cfg.digest(), plan.base_seed, cfg.items)
     comments.append(f"# synth_digest: {synth.digest()}")
     header = [
@@ -377,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetParseError, EmptyClass) as err:
+    except (DatasetParseError, EmptyClass, OutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ConfigInvalid, ImproperPrior, BadSize, TooLarge, NotPD,

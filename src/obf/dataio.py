@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
-from .errors import ConfigInvalid, DatasetParseError
+from .errors import ConfigInvalid, DatasetParseError, OutputError
 from .harness import parse_method
 from .selection import LossSpec
 from .synth import SynthConfig, desk_config, full_config
@@ -44,9 +44,15 @@ def fmt_number(x) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    Raises ``OutputError`` when the path cannot be written; no temporary
+    file is left behind.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-obf-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-obf-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
             # mkstemp makes the file 0600 and os.replace keeps the mode, so
@@ -55,9 +61,12 @@ def atomic_write_text(path, text: str) -> None:
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            reason = err.strerror or err
+            raise OutputError(f"cannot write {path}: {reason}") from None
         raise
 
 
@@ -69,7 +78,10 @@ def provenance_lines(config_digest: str, seed, extra_items=None) -> list:
     ]
     if extra_items:
         for key in sorted(extra_items):
-            lines.append(f"# config.{key}={extra_items[key]}")
+            # a value continued over several lines stays a block of comments
+            first, *rest = str(extra_items[key]).split("\n")
+            lines.append(f"# config.{key}={first}")
+            lines.extend(f"#   {line}" for line in rest)
     return lines
 
 

@@ -70,5 +70,9 @@ class DatasetParseError(ObfError):
         return super().__str__()
 
 
+class OutputError(ObfError):
+    """An output path cannot be written."""
+
+
 class AllDegenerate(ObfError):
     """Every feature in the dataset was degenerate under the prior."""

@@ -180,9 +180,7 @@ def _replicate_cell(payload):
     seed = replicate_seed(base_seed, n, rep)
     data = generate(config, n, seed)
     ms = matrix_stats(data.values, data.labels)
-    truth_mask = np.array([t in MARKER_TAGS for t in data.truth], dtype=bool)
-    n_truth = int(np.count_nonzero(truth_mask))
-    total = config.n_features
+    truth = {i for i, tag in enumerate(data.truth) if tag in MARKER_TAGS}
 
     obf_cache = {}
 
@@ -225,9 +223,9 @@ def _replicate_cell(payload):
             key, ok = baseline_key(method.kind)
             picked = top_cut(rank_order(key, ok), method.top_d,
                              int(np.count_nonzero(ok)))
-        tp = int(np.count_nonzero(truth_mask[picked]))
-        fp = picked.size - tp
-        correct = total - fp - (n_truth - tp)
+        correct, tp, fp = score_selection(
+            picked.tolist(), truth, config.n_features
+        )
         per_method[method.name] = (
             correct, tp, fp, picked.size, int(np.count_nonzero(~ok)),
         )
@@ -261,7 +259,11 @@ def run_sweep(
     probe_preset: Optional[str] = None,
     probe_tags: tuple = MARKER_TAGS,
 ) -> SweepResult:
-    """Execute a plan; optionally track score medians by truth tag."""
+    """Execute a plan; optionally track score medians by truth tag.
+
+    ``threads`` worker processes (0 = one per CPU) run the cells, never
+    more than there are CPUs or cells.
+    """
     plan.synth.validate()
     digest = plan.synth.digest()
     payloads = [
@@ -269,12 +271,12 @@ def run_sweep(
         for n in plan.n_grid
         for rep in range(plan.replicates)
     ]
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1 or len(payloads) == 1:
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(payloads))
+    if workers == 1:
         results = [_replicate_cell(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_cell, payloads, chunksize=1))
     by_cell = {key: (metrics, probe) for key, metrics, probe in results}
 
@@ -325,16 +327,3 @@ def run_sweep(
 def run_plan(plan: ExperimentPlan, threads: int = 1):
     """Metric rows of a plan, one per (n, method), in plan order."""
     return list(run_sweep(plan, threads=threads).rows)
-
-
-def posterior_convergence_probe(
-    plan: ExperimentPlan,
-    preset: str = "jp",
-    truth_tags: tuple = MARKER_TAGS,
-    threads: int = 1,
-):
-    """Median score trajectories of marker vs null features across the grid."""
-    return list(
-        run_sweep(plan, threads=threads, probe_preset=preset,
-                  probe_tags=truth_tags).probe
-    )

@@ -9,8 +9,8 @@ ascending position in the table) and differ only in where the cut falls:
 * CMNC    -- keep exactly the top D.
 * NP      -- grow the ranked prefix while the running expected number of
              false selections stays within a budget alpha.
-* MAP / CMAP -- exact argmax over subset posteriors, feasible only for
-             small feature counts via exhaustive enumeration.
+* MAP / CMAP -- exact argmax over the subset posterior, an array indexed
+             by subset bitmask, feasible only for small feature counts.
 
 Expected counts of correct/incorrect selections are linear in the per-feature
 probabilities, which is what makes every rule a ranking plus a cutoff.
@@ -208,10 +208,22 @@ def roc(table: ScoreTable) -> RocCurve:
     return RocCurve(points=tuple(zip(xs.tolist(), ys.tolist())))
 
 
+def _subset_blocks(nf: int):
+    """(masks, membership) of all 2^nf subsets, in blocks to bound memory.
+
+    Masks ascend; membership row i holds bit f of ``masks[i]`` at column f.
+    """
+    m = 1 << nf
+    shifts = np.arange(nf, dtype=np.uint32)
+    for start in range(0, m, _ENUM_CHUNK):
+        g = np.arange(start, min(start + _ENUM_CHUNK, m), dtype=np.uint32)
+        yield g, ((g[:, None] >> shifts) & 1).astype(np.float64)
+
+
 def subset_posterior(
     per_feature_log_h: Sequence[float],
     log_prior: Optional[Callable[[tuple], float]] = None,
-):
+) -> np.ndarray:
     """Exhaustive posterior over all subsets of a small feature set.
 
     Subset weight is ``sum of log_h over members`` plus, when given,
@@ -219,9 +231,12 @@ def subset_posterior(
     complete (prior odds already folded in), which makes the implied subset
     prior the one that factorizes over features. Passing ``log_prior``
     overrides that factorized prior, in which case the supplied log-odds
-    should carry likelihood ratios only.
+    should carry likelihood ratios only; it is called with each subset as a
+    sorted index tuple.
 
-    Returns a dict mapping sorted index tuples to probabilities.
+    Returns a float64 array of length 2^nf indexed by bitmask: entry g is
+    the probability of the subset holding feature f exactly when bit f of g
+    is set.
     """
     lh = np.asarray(per_feature_log_h, dtype=np.float64)
     nf = lh.size
@@ -231,55 +246,61 @@ def subset_posterior(
         raise ValueError("per-feature log-odds must be finite or -inf")
     lh = np.where(np.isneginf(lh), _NEG_CLAMP, lh)
 
-    m = 1 << nf
-    shifts = np.arange(nf, dtype=np.uint32)
-    logw = np.empty(m, dtype=np.float64)
-    for start in range(0, m, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, m)
-        idx = np.arange(start, stop, dtype=np.uint32)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.float64)
-        logw[start:stop] = bits @ lh
+    logw = np.concatenate([bits @ lh for _, bits in _subset_blocks(nf)])
     if log_prior is not None:
-        for g in range(m):
-            subset = tuple(f for f in range(nf) if g >> f & 1)
-            logw[g] += log_prior(subset)
-    log_z = logsumexp(logw)
-    probs = np.exp(logw - log_z)
-    out = {}
-    for g in range(m):
-        subset = tuple(f for f in range(nf) if g >> f & 1)
-        out[subset] = float(probs[g])
-    return out
+        logw += [
+            log_prior(tuple(f for f in range(nf) if g >> f & 1))
+            for g in range(1 << nf)
+        ]
+    return np.exp(logw - logsumexp(logw))
 
 
-def subset_marginals(posterior: dict, n_features: int) -> np.ndarray:
+def subset_marginals(posterior: np.ndarray, n_features: int) -> np.ndarray:
     """Per-feature inclusion probabilities of an exhaustive subset posterior."""
-    marg = np.zeros(n_features, dtype=np.float64)
-    for subset, p in posterior.items():
-        for f in subset:
-            marg[f] += p
-    return marg
+    p = np.asarray(posterior, dtype=np.float64)
+    if p.shape != (1 << n_features,):
+        raise ValueError("a subset posterior has 2**n_features entries")
+    blocks = _subset_blocks(n_features)
+    return sum((bits.T @ p[g] for g, bits in blocks), np.zeros(n_features))
 
 
-def select_map(posterior: dict, size_constraint: Optional[int] = None) -> SelectionResult:
+def _lex_first(masks: np.ndarray) -> int:
+    """The mask whose sorted index tuple is lexicographically smallest.
+
+    All remaining masks share the members chosen so far; a mask equal to
+    them ends first, else the smallest next member is kept.
+    """
+    chosen = np.uint32(0)
+    while not np.any(masks == chosen):
+        rest = masks ^ chosen
+        lowest = rest & (~rest + np.uint32(1))
+        step = lowest.min()
+        masks = masks[lowest == step]
+        chosen |= step
+    return int(chosen)
+
+
+def select_map(posterior: np.ndarray, size_constraint: Optional[int] = None) -> SelectionResult:
     """Highest-posterior subset, optionally restricted to a fixed size.
 
-    Exact ties go to the lexicographically smallest index set. The reported
-    ranking orders features by their marginal inclusion probability.
+    ``posterior`` is an array from ``subset_posterior``. Exact ties go to
+    the lexicographically smallest index set. The reported ranking orders
+    features by their marginal inclusion probability.
     """
-    items = posterior.items()
+    p = np.asarray(posterior, dtype=np.float64)
+    nf = p.size.bit_length() - 1
+    marg = subset_marginals(p, nf)
+    masks = np.arange(p.size, dtype=np.uint32)
     if size_constraint is not None:
-        items = [(g, p) for g, p in items if len(g) == size_constraint]
-        if not items:
+        sizes = sum(((masks >> f) & 1 for f in range(nf)), np.zeros_like(masks))
+        masks = masks[sizes == size_constraint]
+        if not masks.size:
             raise BadSize(f"no subsets of size {size_constraint} in posterior")
-    best_p = max(p for _, p in items)
-    best = min(g for g, p in items if p == best_p)
-    nf = max((max(g) + 1 for g in posterior if g), default=0)
-    marg = subset_marginals(posterior, nf)
+    best = _lex_first(masks[p[masks] == np.max(p[masks])])
     ranking = tuple(int(i) for i in np.argsort(-marg, kind="stable"))
     return SelectionResult(
         criterion="MAP" if size_constraint is None else "CMAP",
         param=size_constraint,
         ranking=ranking,
-        selected=tuple(best),
+        selected=tuple(f for f in range(nf) if best >> f & 1),
     )

@@ -178,19 +178,16 @@ def improper_log_h_ref(pi, weight_l, xs0, xs1) -> float:
     return float(out)
 
 
-def exhaustive_risks(posterior: dict, n_features: int, loss) -> np.ndarray:
+def exhaustive_risks(posterior, n_features: int, loss) -> np.ndarray:
     """Expected loss of every candidate subset, by full enumeration.
 
-    Candidate g and truth g' are bit masks; the loss of the pair is assembled
-    from the four overlap counts and weighted by the posterior.
+    ``posterior`` holds the probability of each truth subset, indexed by
+    bit mask. Candidate g and truth g' are bit masks; the loss of the pair
+    is assembled from the four overlap counts and weighted by the posterior.
     """
     m = 1 << n_features
-    probs = np.zeros(m)
-    for subset, p in posterior.items():
-        mask = 0
-        for f in subset:
-            mask |= 1 << f
-        probs[mask] = p
+    probs = np.asarray(posterior, dtype=np.float64)
+    assert probs.shape == (m,)
     g = np.arange(m, dtype=np.uint32)
     pop = np.bitwise_count(g).astype(np.float64)
     inter = np.bitwise_count(g[:, None] & g[None, :]).astype(np.float64)
@@ -204,6 +201,22 @@ def exhaustive_risks(posterior: dict, n_features: int, loss) -> np.ndarray:
         + loss.lambda_bb * neither
     )
     return loss_matrix @ probs
+
+
+def map_subset_loop(posterior, n_features: int, size=None) -> tuple:
+    """The MAP subset by a loop over every subset of a bitmask posterior.
+
+    Highest probability first; exact ties go to the lexicographically
+    smallest index tuple. ``size`` restricts the candidates to that size.
+    """
+    best = None
+    for g, p in enumerate(np.asarray(posterior).tolist()):
+        subset = tuple(f for f in range(n_features) if g >> f & 1)
+        if size is not None and len(subset) != size:
+            continue
+        if best is None or (-p, subset) < best:
+            best = (-p, subset)
+    return best[1]
 
 
 def mask_of(subset) -> int:

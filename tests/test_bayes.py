@@ -337,6 +337,10 @@ class TestVectorizedAgreement:
             assert lh[j] == pytest.approx(score.log_h, rel=1e-10, abs=1e-10)
             assert pi_star[j] == pytest.approx(score.pi_star, rel=1e-12, abs=1e-15)
 
+    def test_matrix_stats_rejects_other_labels(self):
+        with pytest.raises(ValueError):
+            matrix_stats(np.ones((6, 2)), np.array([0, 0, 2, 2, 1, 1]))
+
     def test_log_h_table_flags_degenerate(self):
         values = np.ones((10, 3))
         values[:, 1] = np.arange(10.0)

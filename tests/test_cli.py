@@ -292,6 +292,18 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("target", ["missing_dir/o.csv", "a_directory"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, target):
+        data = toy_dataset(tmp_path)
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR)
+        (tmp_path / "a_directory").mkdir()
+        code = main(["rank", data, "--config", cfg,
+                     "--out", str(tmp_path / target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and target in err
+        assert not list(tmp_path.rglob(".tmp-obf-*"))
+
     def test_prior_leaving_no_scorable_feature_exit_3(self, tmp_path, capsys):
         data = toy_dataset(tmp_path)
         cfg = write(tmp_path / "cfg.ini", JP_PRIOR + "kappa0 = -500\n")
@@ -358,6 +370,20 @@ class TestSimulate:
         ranked = str(tmp_path / "ranked.csv")
         assert main(["rank", out, "--config", cfg, "--out", ranked]) == 0
 
+    def test_multiline_config_value_stays_commented(self, tmp_path):
+        cfg = write(
+            tmp_path / "syn.ini",
+            SYNTH_SMALL + JP_PRIOR + "[plan]\nn_grid = 20\nreplicates = 1\n"
+            "methods = mnc-obf-jp;\n    bd:D=50\n",
+        )
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--config", cfg, "--n", "20", "--seed", "1",
+                     "--out", out]) == 0
+        _, _, comments = read_csv_text(out)
+        assert "#   bd:D=50" in comments
+        ranked = str(tmp_path / "ranked.csv")
+        assert main(["rank", out, "--config", cfg, "--out", ranked]) == 0
+
     def test_invalid_config_exit_3(self, tmp_path):
         cfg = write(tmp_path / "syn.ini",
                     SYNTH_SMALL.replace("n_features = 120", "n_features = 121"))
@@ -411,6 +437,12 @@ class TestConsistency:
         assert len(rows) == 1
         svg = (tmp_path / "solo" / "consistency.svg").read_text()
         assert svg.count("<polyline") == 1
+
+    def test_output_path_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", SYNTH_SMALL + PLAN_SMALL)
+        taken = write(tmp_path / "taken", "")
+        assert main(["consistency", "--config", cfg, "--out", taken]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_plan_exit_3(self, tmp_path):
         cfg = write(tmp_path / "run.ini", SYNTH_SMALL)

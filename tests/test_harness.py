@@ -5,12 +5,12 @@ import pytest
 
 from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.errors import ConfigInvalid
+from obf import harness
 from obf.harness import (
     MARKER_TAGS,
     ExperimentPlan,
     MethodSpec,
     parse_method,
-    posterior_convergence_probe,
     run_plan,
     run_sweep,
     score_selection,
@@ -131,6 +131,35 @@ class TestRunPlan:
         assert rows_a[0].base_seed != rows_b[0].base_seed
         assert rows_a[0].mean_correct != rows_b[0].mean_correct
 
+    def test_workers_capped_at_cpus_and_cells(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Records the worker count and runs the cells in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        methods = (parse_method("mnc-obf-jp"),)
+        four_cells = ExperimentPlan(small_config(), (20, 30), 2, methods)
+        two_cells = ExperimentPlan(small_config(), (20,), 2, methods)
+        run_sweep(four_cells, threads=64)
+        run_sweep(four_cells, threads=0)
+        run_sweep(two_cells, threads=8)
+        run_sweep(four_cells, threads=1)
+        assert started == [3, 3, 2]
+
     def test_threads_do_not_change_rows(self):
         plan = ExperimentPlan(
             synth=small_config(), n_grid=(20, 30), replicates=4,
@@ -201,7 +230,7 @@ class TestProbe:
         )
         plan = ExperimentPlan(cfg, (20,), 2, (parse_method("mnc-obf-jp"),),
                               base_seed=0)
-        probe = posterior_convergence_probe(plan, preset="jp")
+        probe = run_sweep(plan, probe_preset="jp").probe
         assert probe[0].median_log_h_truth is None
         assert probe[0].median_log_h_null is not None
 
@@ -210,7 +239,7 @@ class TestProbe:
             small_config(), (40, 400), 3, (parse_method("mnc-obf-jp"),),
             base_seed=21,
         )
-        probe = posterior_convergence_probe(plan, preset="jp")
+        probe = run_sweep(plan, probe_preset="jp").probe
         assert probe[1].median_log_h_truth > probe[0].median_log_h_truth
 
     def test_null_median_falls(self):
@@ -218,7 +247,7 @@ class TestProbe:
             small_config(), (40, 400), 3, (parse_method("mnc-obf-jp"),),
             base_seed=21,
         )
-        probe = posterior_convergence_probe(plan, preset="jp")
+        probe = run_sweep(plan, probe_preset="jp").probe
         assert probe[1].median_log_h_null < probe[0].median_log_h_null
 
     def test_sweep_returns_rows_and_probe(self):

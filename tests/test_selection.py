@@ -25,7 +25,15 @@ from obf.selection import (
 )
 from obf.special import logistic, logit
 
-from oracles import exhaustive_risks, mask_of, np_prefix_length
+from oracles import exhaustive_risks, map_subset_loop, mask_of, np_prefix_length
+
+
+def posterior_array(probs: dict, n_features: int) -> np.ndarray:
+    """A subset posterior given as {index tuple: probability}, by bitmask."""
+    post = np.zeros(1 << n_features)
+    for subset, p in probs.items():
+        post[mask_of(subset)] = p
+    return post
 
 
 def table_from_pi(pis, ids=None):
@@ -167,8 +175,8 @@ class TestRoc:
 class TestSubsetPosterior:
     def test_single_feature_even_odds(self):
         post = subset_posterior([0.0])
-        assert post[()] == pytest.approx(0.5)
-        assert post[(0,)] == pytest.approx(0.5)
+        assert post[mask_of(())] == pytest.approx(0.5)
+        assert post[mask_of((0,))] == pytest.approx(0.5)
 
     def test_marginals_are_logistic(self):
         rng = np.random.default_rng(8)
@@ -186,13 +194,13 @@ class TestSubsetPosterior:
         post = subset_posterior(lh, log_prior)
         w_full = math.exp(0.3 - 0.7)
         expect_full = w_full / (1.0 + w_full)
-        assert post[(0, 1)] == pytest.approx(expect_full, rel=1e-12)
-        assert post[()] == pytest.approx(1.0 - expect_full, rel=1e-12)
-        assert post[(0,)] == 0.0 and post[(1,)] == 0.0
+        assert post[mask_of((0, 1))] == pytest.approx(expect_full, rel=1e-12)
+        assert post[mask_of(())] == pytest.approx(1.0 - expect_full, rel=1e-12)
+        assert post[mask_of((0,))] == 0.0 and post[mask_of((1,))] == 0.0
 
     def test_neg_inf_allowed_pos_inf_rejected(self):
         post = subset_posterior([-math.inf, 0.0])
-        assert post[(0,)] == 0.0 and post[(0, 1)] == 0.0
+        assert post[mask_of((0,))] == 0.0 and post[mask_of((0, 1))] == 0.0
         with pytest.raises(ValueError):
             subset_posterior([math.inf])
 
@@ -203,7 +211,7 @@ class TestSubsetPosterior:
 
 class TestSelectMap:
     def test_single_atom(self):
-        post = {(): 0.0, (0,): 1.0}
+        post = posterior_array({(): 0.0, (0,): 1.0}, 1)
         assert select_map(post).selected == (0,)
 
     def test_map_equals_mnc(self):
@@ -226,8 +234,32 @@ class TestSelectMap:
             assert got == expect
 
     def test_tie_prefers_lexicographic(self):
-        post = {(): 0.25, (0,): 0.25, (1,): 0.25, (0, 1): 0.25}
+        post = posterior_array(
+            {(): 0.25, (0,): 0.25, (1,): 0.25, (0, 1): 0.25}, 2
+        )
         assert select_map(post).selected == ()
+        # lexicographic, not bitmask, order: (0, 2) is mask 5, (1,) mask 2
+        post = posterior_array({(1,): 0.5, (0, 2): 0.5}, 3)
+        assert select_map(post).selected == (0, 2)
+        post = posterior_array({(0, 1): 0.5, (0,): 0.5}, 2)
+        assert select_map(post).selected == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lh=st.lists(
+        st.sampled_from([-math.inf, -1.0, 0.0, 1.0])
+        | st.floats(min_value=-5.0, max_value=5.0),
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_map_matches_subset_loop(lh, data):
+    """Ties (repeated log-odds) go to the lexicographically smallest set."""
+    size = data.draw(st.none() | st.integers(min_value=0, max_value=len(lh)))
+    post = subset_posterior(lh)
+    expect = map_subset_loop(post, len(lh), size)
+    assert select_map(post, size_constraint=size).selected == expect
 
 
 class TestRiskOptimality:
