@@ -35,6 +35,7 @@ from .dataio import (
     read_dataset,
     render_csv,
     render_dataset,
+    table_from_ranked,
 )
 from .errors import (
     AllDegenerate,
@@ -136,46 +137,11 @@ def _table_from_dataset(prior, values, labels, names) -> ScoreTable:
     )
 
 
-def _table_from_ranked(path, header, rows) -> ScoreTable:
-    """Scores of the ``ok`` rows of a ranked file; each must carry numbers."""
-    needed = ("feature", "log_h", "pi_star", "log1m_pi_star", "status")
-    missing = [name for name in needed if name not in header]
-    if missing:
-        raise DatasetParseError(f"{path}: ranked file lacks columns {missing}")
-    idx = {name: header.index(name) for name in needed}
-    ids, scores = [], []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetParseError(
-                f"{path}: expected {len(header)} cells, found {len(row)}",
-                row=i + 2, column=len(row),
-            )
-        if row[idx["status"]] != "ok":
-            continue
-        ids.append(row[idx["feature"]])
-        for name in ("log_h", "pi_star", "log1m_pi_star"):
-            cell = row[idx[name]]
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if math.isnan(value):
-                raise DatasetParseError(
-                    f"{path}: ok row has no number in {name}: {cell!r}",
-                    row=i + 2, column=idx[name] + 1,
-                )
-            scores.append(value)
-    if not ids:
-        raise AllDegenerate("ranked file contains no scorable features")
-    lh, pi_star, log1m = np.array(scores, dtype=np.float64).reshape(-1, 3).T
-    return ScoreTable.from_arrays(ids, lh, pi_star, log1m)
-
-
 def _load_table(args, cfg) -> ScoreTable:
     """Scores from a ranked file, or from a dataset scored under [prior]."""
     header, rows, _ = read_csv_text(args.input)
     if {"feature", "log_h", "pi_star"} <= set(header):
-        return _table_from_ranked(args.input, header, rows)
+        return table_from_ranked(args.input, header, rows)
     prior = _require(cfg, "prior", "prior")
     dataset = dataset_from_rows(
         header, rows, args.input,

@@ -25,16 +25,14 @@ import numpy as np
 
 from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
-from .errors import ConfigInvalid, DatasetParseError, OutputError
+from .errors import AllDegenerate, ConfigInvalid, DatasetParseError, OutputError
 from .harness import parse_method
-from .selection import LossSpec
+from .selection import LossSpec, ScoreTable
 from .synth import SynthConfig, desk_config, full_config
 
 
 def fmt_number(x) -> str:
-    """Shortest decimal that round-trips; blank for missing."""
-    if x is None:
-        return ""
+    """Shortest decimal that round-trips; blank for NaN."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
@@ -86,15 +84,16 @@ def provenance_lines(config_digest: str, seed, extra_items=None) -> list:
 
 
 def render_csv(header, rows, comments) -> str:
-    out = list(comments)
-    out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+    lines = [*comments, ",".join(header), *map(",".join, rows)]
+    return "\n".join(lines) + "\n"
 
 
 def read_csv_text(path):
-    """(header, data rows, comment lines) of a '#'-commented CSV file."""
+    """(header, data rows, comment lines) of a '#'-commented CSV file.
+
+    Every data row has as many cells as the header. Error positions count
+    the header as row 1 and skip blank and comment lines.
+    """
     comments = []
     header = None
     rows = []
@@ -107,10 +106,16 @@ def read_csv_text(path):
                 if line.startswith("#"):
                     comments.append(line)
                     continue
+                row = line.split(",")
                 if header is None:
-                    header = line.split(",")
+                    header = row
+                elif len(row) == len(header):
+                    rows.append(row)
                 else:
-                    rows.append(line.split(","))
+                    raise DatasetParseError(
+                        f"{path}: expected {len(header)} cells, found {len(row)}",
+                        row=len(rows) + 2, column=len(row),
+                    )
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
         raise DatasetParseError(f"cannot read {path}: {reason}") from None
@@ -122,6 +127,34 @@ def read_csv_text(path):
 # ---------------------------------------------------------------------------
 # Datasets (samples in rows, features in columns, one {0,1} label column)
 # ---------------------------------------------------------------------------
+
+
+def _fill(target, cells) -> bool:
+    """Convert ``cells`` by ``float()``'s grammar, as numpy does for ``str``,
+    into ``target``; False unless all are finite numbers."""
+    try:
+        target[...] = cells
+    except ValueError:
+        return False
+    return bool(np.isfinite(target).all())
+
+
+def _bad_cell(path, cells, row, first_column, label_cells=()):
+    """The parse error of the first bad cell of a file row that failed;
+    cells at the indices in ``label_cells`` are class labels."""
+    for k, cell in enumerate(cells):
+        if k in label_cells:
+            problem = None if cell in ("0", "1") else "label must be 0 or 1, found"
+        else:
+            try:
+                problem = None if math.isfinite(float(cell)) else "non-finite value"
+            except ValueError:
+                problem = "not a number:"
+        if problem:
+            return DatasetParseError(
+                f"{path}: {problem} {cell!r}", row=row, column=first_column + k
+            )
+    raise AssertionError(f"{path}: row {row} has no bad cell")
 
 
 def read_dataset(path, label_column: str = "label", transpose: bool = False):
@@ -139,80 +172,77 @@ def dataset_from_rows(header, rows, path, label_column: str = "label",
                       transpose: bool = False):
     """``read_dataset`` on the header and rows ``read_csv_text`` gave.
 
-    ``path`` only names the file in error messages.
+    Each file row is converted in one step, straight into the samples x
+    features matrix; error positions are in the file's own orientation.
     """
-    if transpose:
-        names = [r[0] if r else "" for r in rows]
-        width = len(header)
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise DatasetParseError(
-                    f"{path}: ragged row", row=i + 2, column=len(r)
-                )
-        header = names
-        # the file's columns become sample rows; column 0 holds the names
-        rows = [list(col) for col in zip(*rows)][1:]
-
-    def position(sample_i, cell_j):
-        """1-based (row, column) of a cell in the file's own orientation."""
-        if transpose:
-            return cell_j + 2, sample_i + 2
-        return sample_i + 2, cell_j + 1
-
-    if label_column not in header:
+    # feature names run along the header, or down the file's first column
+    names = [row[0] for row in rows] if transpose else header
+    if label_column not in names:
         raise DatasetParseError(f"{path}: no {label_column!r} column")
-    label_idx = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    at = names.index(label_column)
+    feature_names = names[:at] + names[at + 1:]
     if len(set(feature_names)) != len(feature_names):
         raise DatasetParseError(f"{path}: duplicate feature names")
-    n = len(rows)
+    n = len(header) - 1 if transpose else len(rows)
     values = np.empty((n, len(feature_names)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int8)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetParseError(
-                f"{path}: expected {len(header)} cells, found {len(row)}",
-                row=i + 2, column=len(row),
-            )
-        col = 0
-        for j, cell in enumerate(row):
-            r_pos, c_pos = position(i, j)
-            if j == label_idx:
-                if cell not in ("0", "1"):
-                    raise DatasetParseError(
-                        f"{path}: label must be 0 or 1, found {cell!r}",
-                        row=r_pos, column=c_pos,
-                    )
-                labels[i] = int(cell)
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DatasetParseError(
-                    f"{path}: not a number: {cell!r}",
-                    row=r_pos, column=c_pos,
-                ) from None
-            if not math.isfinite(v):
-                raise DatasetParseError(
-                    f"{path}: non-finite value {cell!r}",
-                    row=r_pos, column=c_pos,
-                )
-            values[i, col] = v
-            col += 1
+    if transpose:
+        label_cells = rows[at][1:]
+        for j, row in enumerate(rows):
+            if j == at:
+                if not set(label_cells) <= {"0", "1"}:
+                    raise _bad_cell(path, label_cells, j + 2, 2, range(n))
+            elif not _fill(values[:, j - (j > at)], row[1:]):
+                raise _bad_cell(path, row[1:], j + 2, 2)
+    else:
+        label_cells = [row[at] for row in rows]
+        for i, row in enumerate(rows):
+            if not (_fill(values[i], row[:at] + row[at + 1:])
+                    and row[at] in ("0", "1")):
+                raise _bad_cell(path, row, i + 2, 1, (at,))
+    labels = np.array([cell == "1" for cell in label_cells], dtype=np.int8)
     n1 = int(np.count_nonzero(labels))
     if n1 < 2 or n - n1 < 2:
         raise DatasetParseError(f"{path}: need at least 2 samples per class")
     return values, labels, feature_names
 
 
+def _float_or_nan(cell) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def table_from_ranked(path, header, rows) -> ScoreTable:
+    """Scores of the ``ok`` rows of a ranked file; each must carry numbers."""
+    needed = ("feature", "log_h", "pi_star", "log1m_pi_star", "status")
+    missing = [name for name in needed if name not in header]
+    if missing:
+        raise DatasetParseError(f"{path}: ranked file lacks columns {missing}")
+    feature, *scored, status = (header.index(name) for name in needed)
+    ok = [i for i, row in enumerate(rows) if row[status] == "ok"]
+    if not ok:
+        raise AllDegenerate("ranked file contains no scorable features")
+    # one list per score column: far smaller than one small list per row
+    cells = [[rows[i][c] for i in ok] for c in scored]
+    try:
+        scores = np.array(cells, dtype=np.float64)
+    except ValueError:
+        scores = np.array([[_float_or_nan(cell) for cell in col] for col in cells])
+    if np.isnan(scores).any():
+        k, m = np.argwhere(np.isnan(scores.T))[0]
+        raise DatasetParseError(
+            f"{path}: ok row has no number in {needed[m + 1]}: {cells[m][k]!r}",
+            row=ok[k] + 2, column=scored[m] + 1,
+        )
+    return ScoreTable.from_arrays([rows[i][feature] for i in ok], *scores)
+
+
 def render_dataset(values, labels, feature_names, comments) -> str:
-    header = list(feature_names) + ["label"]
-    rows = []
-    for i in range(values.shape[0]):
-        cells = [fmt_number(v) for v in values[i]]
-        cells.append(str(int(labels[i])))
-        rows.append(cells)
-    return render_csv(header, rows, comments)
+    """The dataset CSV; ``repr`` is ``fmt_number`` on finite values."""
+    samples = zip(values.tolist(), labels.tolist())
+    rows = ([*map(repr, row), str(label)] for row, label in samples)
+    return render_csv([*feature_names, "label"], rows, comments)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,8 @@ def run_sweep(
     ``threads`` worker processes (0 = one per CPU) run the cells, never
     more than there are CPUs or cells.
     """
+    if threads < 0:
+        raise ConfigInvalid(f"threads must be 0 (one per CPU) or more, got {threads}")
     plan.synth.validate()
     digest = plan.synth.digest()
     payloads = [

@@ -211,6 +211,45 @@ class TestSelect:
         assert [r[0] for r in rows] == ["a"]
         assert "expected_fp=0.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cell", ["oops", "0x1"])
+    def test_ok_row_with_text_score_names_position(self, tmp_path, capsys, cell):
+        ranked = self.ranked_file(tmp_path, [0.9, 0.8, 0.7])
+        lines = (tmp_path / "ranked.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        write(tmp_path / "ranked.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = mnc\n")
+        assert main(["select", ranked, "--config", cfg,
+                     "--out", str(tmp_path / "sel.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "pi_star" in err and "row 4" in err and "column 3" in err
+
+    def test_first_bad_score_in_reading_order_is_named(self, tmp_path, capsys):
+        ranked = self.ranked_file(tmp_path, [0.9, 0.8, 0.7])
+        lines = (tmp_path / "ranked.csv").read_text().splitlines()
+        for line_no, column in ((2, 3), (3, 1)):
+            cells = lines[line_no].split(",")
+            cells[column] = "x"
+            lines[line_no] = ",".join(cells)
+        write(tmp_path / "ranked.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = mnc\n")
+        assert main(["select", ranked, "--config", cfg,
+                     "--out", str(tmp_path / "sel.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "log1m_pi_star" in err and "row 3" in err and "column 4" in err
+
+    def test_ragged_ranked_row_names_position(self, tmp_path, capsys):
+        ranked = self.ranked_file(tmp_path, [0.9, 0.8, 0.7])
+        lines = (tmp_path / "ranked.csv").read_text().splitlines()
+        lines[2] += ",extra"
+        write(tmp_path / "ranked.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = mnc\n")
+        assert main(["select", ranked, "--config", cfg,
+                     "--out", str(tmp_path / "sel.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "column 7" in err
+
     def test_bad_size_is_config_error(self, tmp_path):
         ranked = self.ranked_file(tmp_path, [0.9, 0.4])
         cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = cmnc\nd = 5\n")
@@ -444,6 +483,14 @@ class TestConsistency:
         assert main(["consistency", "--config", cfg, "--out", taken]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_threads_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", SYNTH_SMALL + PLAN_SMALL)
+        assert main(["consistency", "--config", cfg, "--threads", "-1",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "threads" in err
+        assert "max_workers" not in err
+
     def test_missing_plan_exit_3(self, tmp_path):
         cfg = write(tmp_path / "run.ini", SYNTH_SMALL)
         assert main(["consistency", "--config", cfg,
@@ -500,8 +547,9 @@ GOLDEN_SELECT_STDOUT = {
 def golden_outputs(tmp_path, capsys):
     """Digests of every output, and select's stdout, on one small run.
 
-    select and roc run on the dataset and on the ranked file, which must
-    give the same bytes.
+    select and roc run on the dataset and on the ranked file, and rank,
+    select and roc on a features-in-rows copy of the dataset read with
+    --transpose; all of them must give the same bytes.
     """
     digests, stdout = {}, {}
 
@@ -520,20 +568,30 @@ def golden_outputs(tmp_path, capsys):
     run("sweep", "consistency", "--config", cfg, "--out", str(tmp_path / "sweep"),
         outputs=("/metrics.csv", "/consistency.svg"))
     data = str(tmp_path / "sim.csv")
+    transposed = str(tmp_path / "sim-features-in-rows.csv")
+    header, rows, comments = read_csv_text(data)
+    lines = comments + [",".join(["feature"] + [f"s{i}" for i in range(len(rows))])]
+    lines += [",".join(col) for col in zip(header, *rows)]
+    write(tmp_path / "sim-features-in-rows.csv", "\n".join(lines) + "\n")
     for prior in ("pp", "jp"):
         cfg = write(tmp_path / f"{prior}.ini", f"[prior]\npreset = {prior}\n")
         ranked = str(tmp_path / f"{prior}-ranked.csv")
         run(f"{prior}-ranked", "rank", data, "--config", cfg, "--seed", "3",
             "--out", ranked, outputs=(".csv",))
-        for source, path in (("data", data), ("ranked", ranked)):
-            run(f"{prior}-roc@{source}", "roc", path, "--config", cfg,
+        run(f"{prior}-ranked@transposed", "rank", transposed, "--transpose",
+            "--config", cfg, "--seed", "3",
+            "--out", str(tmp_path / f"{prior}-ranked@transposed.csv"),
+            outputs=(".csv",))
+        for source, path, *flags in (("data", data), ("ranked", ranked),
+                                     ("transposed", transposed, "--transpose")):
+            run(f"{prior}-roc@{source}", "roc", path, "--config", cfg, *flags,
                 "--out", str(tmp_path / f"{prior}-roc@{source}"),
                 outputs=(".csv", ".svg"))
             for crit, section in GOLDEN_SELECTIONS.items():
                 sel_cfg = write(tmp_path / f"{prior}-{crit}.ini",
                                 f"[prior]\npreset = {prior}\n[selection]\n{section}")
                 name = f"{prior}-{crit}"
-                printed = run(f"{name}@{source}", "select", path,
+                printed = run(f"{name}@{source}", "select", path, *flags,
                               "--config", sel_cfg,
                               "--out", str(tmp_path / f"{name}@{source}.csv"),
                               outputs=(".csv",))

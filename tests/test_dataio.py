@@ -1,0 +1,162 @@
+"""The dataset file contract: number grammar, error positions, rendering."""
+
+import numpy as np
+import pytest
+
+from obf.dataio import fmt_number, read_dataset, render_csv, render_dataset
+from obf.errors import DatasetParseError
+
+# samples in rows: sample i is file row i + 2, feature j is file column j + 1;
+# features in rows: feature j is file row j + 2, sample i is file column i + 2
+FEATURES = ["a", "b", "c"]
+LABELS = ["0", "0", "0", "1", "1", "1"]
+GRID = [
+    ["0.5", "1.0", "-2.0"],
+    ["0.25", "1.5", "-2.5"],
+    ["0.75", "0.5", "-1.0"],
+    ["3.0", "1.25", "-2.25"],
+    ["3.5", "0.75", "-1.5"],
+    ["2.5", "1.0", "-2.0"],
+]
+
+
+def dataset_text(transpose, grid=GRID, labels=LABELS, names=FEATURES,
+                 label_name="label"):
+    """A dataset file in either orientation, from cells by (sample, feature)."""
+    columns = [list(col) for col in zip(*grid)] + [list(labels)]
+    names = list(names) + [label_name]
+    if transpose:
+        header = ["id"] + [f"s{i + 1}" for i in range(len(grid))]
+        rows = [[name] + col for name, col in zip(names, columns)]
+    else:
+        header = names
+        rows = [list(row) for row in zip(*columns)]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+def read(tmp_path, text, transpose):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    return read_dataset(str(path), transpose=transpose)
+
+
+def parse_error(tmp_path, text, transpose):
+    with pytest.raises(DatasetParseError) as info:
+        read(tmp_path, text, transpose)
+    return info.value
+
+
+def file_position(transpose, sample, cell):
+    """(row, column) in the file of a sample's cell; cell 3 is the label."""
+    if transpose:
+        return cell + 2, sample + 2
+    return sample + 2, cell + 1
+
+
+def with_cell(sample, feature, text):
+    grid = [list(row) for row in GRID]
+    grid[sample][feature] = text
+    return grid
+
+
+ORIENTATIONS = pytest.mark.parametrize(
+    "transpose", [False, True], ids=["samples-in-rows", "features-in-rows"]
+)
+
+
+@ORIENTATIONS
+def test_reads_both_orientations_alike(tmp_path, transpose):
+    values, labels, names = read(tmp_path, dataset_text(transpose), transpose)
+    assert names == FEATURES
+    assert labels.dtype == np.int8 and labels.tolist() == [0, 0, 0, 1, 1, 1]
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert values.tolist() == [[float(c) for c in row] for row in GRID]
+
+
+@ORIENTATIONS
+def test_numbers_follow_float_grammar(tmp_path, transpose):
+    cells = ["1_0", "１", " 7 ", "+.5", "-0.0", "5e-324"]
+    grid = [[cell, "1.0", "2.0"] for cell in cells]
+    text = dataset_text(transpose, grid=grid)
+    values, _, _ = read(tmp_path, text, transpose)
+    expected = np.array([float(cell) for cell in cells], dtype=np.float64)
+    assert values[:, 0].tobytes() == expected.tobytes()
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("cell", ["oops", "0x1", "", "1 2"])
+def test_not_a_number(tmp_path, transpose, cell):
+    text = dataset_text(transpose, grid=with_cell(2, 1, cell))
+    err = parse_error(tmp_path, text, transpose)
+    assert "not a number" in str(err)
+    assert (err.row, err.column) == file_position(transpose, 2, 1)
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite(tmp_path, transpose, cell):
+    text = dataset_text(transpose, grid=with_cell(4, 2, cell))
+    err = parse_error(tmp_path, text, transpose)
+    assert "non-finite" in str(err)
+    assert (err.row, err.column) == file_position(transpose, 4, 2)
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("cell", ["2", "1.0", " 1", ""])
+def test_label_not_0_or_1(tmp_path, transpose, cell):
+    labels = list(LABELS)
+    labels[3] = cell
+    err = parse_error(tmp_path, dataset_text(transpose, labels=labels), transpose)
+    assert "label must be 0 or 1" in str(err)
+    assert (err.row, err.column) == file_position(transpose, 3, 3)
+
+
+@ORIENTATIONS
+def test_ragged_row(tmp_path, transpose):
+    lines = dataset_text(transpose).splitlines()
+    # drop the last cell of file row 4
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    err = parse_error(tmp_path, "\n".join(lines) + "\n", transpose)
+    assert (err.row, err.column) == (4, len(lines[3].split(",")))
+
+
+@ORIENTATIONS
+def test_missing_label_column(tmp_path, transpose):
+    text = dataset_text(transpose, label_name="class")
+    err = parse_error(tmp_path, text, transpose)
+    assert "no 'label' column" in str(err)
+    assert (err.row, err.column) == (None, None)
+
+
+@ORIENTATIONS
+def test_duplicate_feature_names(tmp_path, transpose):
+    text = dataset_text(transpose, names=["a", "b", "a"])
+    err = parse_error(tmp_path, text, transpose)
+    assert "duplicate feature names" in str(err)
+    assert (err.row, err.column) == (None, None)
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("labels", [["0", "0", "0", "0", "0", "1"],
+                                    ["1", "1", "1", "1", "1", "1"]])
+def test_fewer_than_two_samples_per_class(tmp_path, transpose, labels):
+    err = parse_error(tmp_path, dataset_text(transpose, labels=labels), transpose)
+    assert "at least 2 samples per class" in str(err)
+    assert (err.row, err.column) == (None, None)
+
+
+def test_render_dataset_matches_fmt_number_join():
+    values = np.array([
+        [-0.0, 5e-324, 1e16],
+        [0.1 + 0.2, -1.7976931348623157e308, 1.0],
+    ])
+    labels = np.array([0, 1], dtype=np.int8)
+    names = ["x", "y", "z"]
+    comments = ["# tool: obf test"]
+    expected = render_csv(
+        names + ["label"],
+        [[fmt_number(v) for v in values[i]] + [str(int(labels[i]))]
+         for i in range(2)],
+        comments,
+    )
+    assert render_dataset(values, labels, names, comments) == expected

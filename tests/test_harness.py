@@ -160,6 +160,20 @@ class TestRunPlan:
         run_sweep(four_cells, threads=1)
         assert started == [3, 3, 2]
 
+    def test_negative_threads_rejected_before_any_pool(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        plan = ExperimentPlan(small_config(), (20, 30), 2,
+                              (parse_method("mnc-obf-jp"),))
+        with pytest.raises(ConfigInvalid, match="threads"):
+            run_sweep(plan, threads=-1)
+        assert started == []
+
     def test_threads_do_not_change_rows(self):
         plan = ExperimentPlan(
             synth=small_config(), n_grid=(20, 30), replicates=4,
