@@ -28,6 +28,7 @@ from .dataio import (
     RunConfig,
     atomic_write_text,
     dataset_from_rows,
+    fmt_column,
     fmt_number,
     load_config,
     provenance_lines,
@@ -82,12 +83,8 @@ def _screen_dataset(values, labels, prior):
     lh, pi_star, log1m, ok = log_h_table(prior, ms)
     nf = values.shape[1]
 
-    t, t_ok = welch_t_array(ms)
-    df = welch_df_array(ms)
-    welch_p = np.full(nf, np.nan)
-    for i in range(nf):
-        if t_ok[i]:
-            welch_p[i] = student_t_two_sided_p(float(t[i]), float(df[i]))
+    t, _ = welch_t_array(ms)
+    welch_p = student_t_two_sided_p(t, welch_df_array(ms))
     bd, _ = bd_array(ms)
     try:
         mi, _ = mi_array(values, labels)
@@ -105,25 +102,25 @@ def _ranked_rows(names, scores):
     ok = scores["ok"]
     if not np.any(ok):
         raise AllDegenerate("every feature is degenerate under this prior")
-    rows = []
-    rank = 0
-    for idx in rank_order(scores["log_h"], ok).tolist():
-        good = bool(ok[idx])
-        rank = rank + 1 if good else rank
-        rows.append([
-            names[idx],
-            fmt_number(scores["log_h"][idx]) if good else "",
-            fmt_number(scores["pi_star"][idx]) if good else "",
-            fmt_number(scores["log1m_pi_star"][idx]) if good else "",
-            str(rank) if good else "",
-            fmt_number(scores["welch_t"][idx]),
-            fmt_number(scores["welch_p"][idx]),
-            fmt_number(scores["bd"][idx]),
-            fmt_number(scores["mi"][idx]),
-            fmt_number(scores["log_wilks_lambda"][idx]),
-            "ok" if good else "degenerate",
-        ])
-    return rows
+    order = rank_order(scores["log_h"], ok)
+    good = ok[order]
+
+    def column(key, only_ok=False):
+        values = scores[key][order]
+        if only_ok:
+            values = np.where(good, values, np.nan)
+        return fmt_column(values)
+
+    rank = np.cumsum(good).tolist()
+    return list(zip(
+        [names[i] for i in order.tolist()],
+        column("log_h", True), column("pi_star", True),
+        column("log1m_pi_star", True),
+        [str(r) if g else "" for r, g in zip(rank, good.tolist())],
+        column("welch_t"), column("welch_p"), column("bd"), column("mi"),
+        column("log_wilks_lambda"),
+        ["ok" if g else "degenerate" for g in good.tolist()],
+    ))
 
 
 def _table_from_dataset(prior, values, labels, names) -> ScoreTable:

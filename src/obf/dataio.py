@@ -41,6 +41,11 @@ def fmt_number(x) -> str:
     return repr(x)
 
 
+def fmt_column(values) -> list:
+    """``fmt_number`` of each element of a float array, in one pass."""
+    return [repr(v) if v == v else "" for v in np.asarray(values, np.float64).tolist()]
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename.
 

@@ -347,10 +347,12 @@ def test_criterion_9_numerical_substrate():
         worst_g = max(worst_g, err)
 
     rng = np.random.default_rng(33)
+    cases = [(float(rng.uniform(-10.0, 10.0)), float(rng.uniform(1.0, 300.0)))
+             for _ in range(100)]
+    # |t| near 0, where x = df / (df + t^2) rounds to just below 1
+    cases += [(1e-6, 1998.0), (1e-7, 198.0), (-5.03e-5, 1997.5), (1e-9, 2.5)]
     worst_p = 0.0
-    for _ in range(100):
-        t = float(rng.uniform(-10.0, 10.0))
-        df = float(rng.uniform(1.0, 300.0))
+    for t, df in cases:
         got = student_t_two_sided_p(t, df)
         ref = student_t_two_sided_p_ref(t, df)
         assert abs(got - ref) <= 1e-9, (t, df, got, ref)

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: files, exit codes, round trips."""
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 
@@ -10,6 +12,8 @@ import pytest
 from obf.bayes import jp_prior, pp_prior
 from obf.cli import main
 from obf.dataio import load_config, read_csv_text
+
+from oracles import student_t_two_sided_p_ref
 
 
 JP_PRIOR = "[prior]\npreset = jp\n"
@@ -64,6 +68,30 @@ class TestRank:
         assert rows[-1][header.index("log_h")] == ""
         # baselines that are defined still appear for the degenerate row
         assert rows[-1][header.index("welch_t")] != ""
+
+    def test_welch_p_on_constant_columns(self, tmp_path):
+        x_sep = [0.0, 1.0, 0.5, 1.5, 10.0, 11.0, 10.5, 11.5]
+        x_apart = [3.0] * 4 + [7.0] * 4
+        x_half = [2.0, 2.0, 2.0, 2.0, 1.0, 3.5, 2.5, 4.0]
+        lines = ["sep,same,apart,half,label"]
+        for i in range(8):
+            lines.append(f"{x_sep[i]!r},5.0,{x_apart[i]!r},{x_half[i]!r},{i // 4}")
+        data = write(tmp_path / "flat.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR)
+        out = str(tmp_path / "ranked.csv")
+        assert main(["rank", data, "--config", cfg, "--out", out]) == 0
+        header, rows, _ = read_csv_text(out)
+        by_name = {r[0]: dict(zip(header, r)) for r in rows}
+        # equal constants: t = 0 and p = 1; different constants: |t| = inf, p = 0
+        assert by_name["same"]["welch_t"] == "0.0"
+        assert by_name["same"]["welch_p"] == "1.0"
+        assert by_name["apart"]["welch_t"] == "-inf"
+        assert by_name["apart"]["welch_p"] == "0.0"
+        # constant in class 0 only: Welch-Satterthwaite df is n1 - 1 = 3
+        t = float(by_name["half"]["welch_t"])
+        p = float(by_name["half"]["welch_p"])
+        assert math.isfinite(t) and t != 0.0
+        assert abs(p - student_t_two_sided_p_ref(t, 3.0)) <= 1e-9
 
     def test_numeric_round_trip(self, tmp_path):
         data = toy_dataset(tmp_path)
@@ -517,14 +545,14 @@ GOLDEN_DIGESTS = {
     "jp-mnc.csv": "990a07496f7dbd33f7da16a80c618ed4aaef2cd2bf81b662cf2e54511f8a783c",
     "jp-mr.csv": "97d696bdbca6a0f034e6beaeb2a58f00d06029797cd93aa6abaaf48708061f77",
     "jp-np.csv": "fc9dcf5bfcc431de87817d3bce60c40f4dd56ebde65b33608a94e88854eb39f5",
-    "jp-ranked.csv": "df6cef81c1a3b2039b299dc206be6f341264e99059438da15cffccf00ebb76e3",
+    "jp-ranked.csv": "6c4ef4a15d0106bf26f6fe700528e8adc8143ba3c4f4966b5865b8e98756769f",
     "jp-roc.csv": "fe5c5506c059ffd87a0e17da863e0cbdfa857cd8d06480cd91ea72814a19bdf6",
     "jp-roc.svg": "51c4f7683aecb04d51eaa65a0afc7fbeed8d48473e0b7dc6149146c717f3b137",
     "pp-cmnc.csv": "82e444d1a441ef2d80005cb89c560865dcd875f9d28e5114473991ad9e2f5999",
     "pp-mnc.csv": "cb2eae44b9b2225187dc75cd5ec80e72cec57332487d6be27813b5a8631b5bc6",
     "pp-mr.csv": "90b6e8eef3615932cb4ce23a32890d11dcb8119ef92af73bfb08e2c777002354",
     "pp-np.csv": "fa285668e85e59d8cce109271c3cdeff58340f9fe6f2d292386e65352736a335",
-    "pp-ranked.csv": "5018df2defc3195d2877524ff40144ac9bdafa7116115d5f808a28bb0f7e0ff3",
+    "pp-ranked.csv": "f3300f4aaeafe6579c159c5a90dc13867d12681cb720167d359c9d09b0121005",
     "pp-roc.csv": "9505a9ecb093fd57cbd12a348e6afc02c36519a96a64e57769a4bdb1d42d75ad",
     "pp-roc.svg": "87c6b51c7a2f7c6283390f0fdbd4015c1af39aa556288f628492452a8e9e6643",
     "sim.csv": "70b9c69a84c47f591d82b266d043403230e7d43e45f7e6d92bba53d5b6fe1f69",
@@ -544,18 +572,44 @@ GOLDEN_SELECT_STDOUT = {
 }
 
 
-def golden_outputs(tmp_path, capsys):
-    """Digests of every output, and select's stdout, on one small run.
+# sha256 of the ranked files with the welch_p column cut out, taken before the
+# Welch p-values became one array call; that change may move welch_p only
+GOLDEN_RANKED_WITHOUT_WELCH_P = {
+    "jp-ranked.csv": "e5fbc68b92a55b60ea6e927c93a95bc6106db8902a2c1d620ff0371b6e8d485d",
+    "pp-ranked.csv": "50d527548223bf68b34fee582d0198720eec76e67320b7b75b0d43120d421fd1",
+}
+
+
+def without_column(data: bytes, column: str) -> bytes:
+    """A ranked file's bytes with one column cut from its header and rows."""
+    lines = data.decode("utf-8").split("\n")
+    at = None
+    for k, line in enumerate(lines):
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if at is None:
+            at = cells.index(column)
+        del cells[at]
+        lines[k] = ",".join(cells)
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """Digests of every output, select's stdout, and the ranked files.
 
     select and roc run on the dataset and on the ranked file, and rank,
     select and roc on a features-in-rows copy of the dataset read with
     --transpose; all of them must give the same bytes.
     """
+    tmp_path = tmp_path_factory.mktemp("golden")
     digests, stdout = {}, {}
 
     def run(name, *argv, outputs=()):
-        assert main(list(argv)) == 0, name
-        printed = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(list(argv)) == 0, name
+        printed = out.getvalue()
         for suffix in outputs:
             data = (tmp_path / f"{name}{suffix}").read_bytes()
             digest = hashlib.sha256(data).hexdigest()
@@ -596,10 +650,21 @@ def golden_outputs(tmp_path, capsys):
                               "--out", str(tmp_path / f"{name}@{source}.csv"),
                               outputs=(".csv",))
                 assert stdout.setdefault(name, printed) == printed
-    return digests, stdout
+    ranked = {f"{prior}-ranked.csv": (tmp_path / f"{prior}-ranked.csv").read_bytes()
+              for prior in ("pp", "jp")}
+    return digests, stdout, ranked
 
 
-def test_outputs_match_golden_digests(tmp_path, capsys):
-    digests, stdout = golden_outputs(tmp_path, capsys)
+def test_outputs_match_golden_digests(golden):
+    digests, stdout, _ = golden
     assert digests == GOLDEN_DIGESTS
     assert stdout == GOLDEN_SELECT_STDOUT
+
+
+def test_ranked_columns_besides_welch_p_keep_their_bytes(golden):
+    _, _, ranked = golden
+    digests = {
+        name: hashlib.sha256(without_column(data, "welch_p")).hexdigest()
+        for name, data in ranked.items()
+    }
+    assert digests == GOLDEN_RANKED_WITHOUT_WELCH_P

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from obf.dataio import fmt_number, read_dataset, render_csv, render_dataset
+from obf.dataio import (
+    fmt_column, fmt_number, read_dataset, render_csv, render_dataset,
+)
 from obf.errors import DatasetParseError
 
 # samples in rows: sample i is file row i + 2, feature j is file column j + 1;
@@ -160,3 +162,9 @@ def test_render_dataset_matches_fmt_number_join():
         comments,
     )
     assert render_dataset(values, labels, names, comments) == expected
+
+
+def test_fmt_column_matches_fmt_number():
+    values = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.7976931348623157e308,
+                       np.nan, np.inf, -np.inf, 2.0, -1e-300])
+    assert fmt_column(values) == [fmt_number(v) for v in values]

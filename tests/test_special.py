@@ -67,6 +67,34 @@ class TestIncompleteBeta:
             1.0 - betainc_reg(b, a, 1.0 - x), abs=1e-14
         )
 
+    def test_array_matches_scalar(self):
+        a = np.array([2.0, 2.0, 2.0, 0.5, 40.0, 3.7, 1.9, 0.2, 50.0])
+        b = np.array([3.0, 3.0, 3.0, 0.5, 2.0, 1.9, 3.7, 49.0, 0.3])
+        x = np.array([0.0, 1.0, math.nan, 1e-9, 0.99, 0.42, 0.58, 0.5, 0.999])
+        mean = (a + 1.0) / (a + b + 2.0)
+        inner = (x > 0.0) & (x < 1.0)
+        # both continued-fraction branches are taken
+        assert np.any(inner & (x < mean)) and np.any(inner & (x >= mean))
+        out = betainc_reg(a, b, x)
+        assert out[0] == 0.0 and out[1] == 1.0 and math.isnan(out[2])
+        for k in range(x.size):
+            one = betainc_reg(float(a[k]), float(b[k]), float(x[k]))
+            assert isinstance(one, float)
+            assert one == out[k] or (math.isnan(one) and math.isnan(out[k]))
+        for k in np.flatnonzero(inner):
+            mixed_close(out[k], betainc_ref(a[k], b[k], x[k]), 1e-12)
+
+    def test_broadcasts(self):
+        out = betainc_reg(np.array([[1.0, 2.0], [3.0, 4.0]]), 2.0, 0.4)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == betainc_reg(3.0, 2.0, 0.4)
+
+    def test_rejects_nonpositive_parameters(self):
+        with pytest.raises(ValueError):
+            betainc_reg(np.array([1.0, 0.0]), 2.0, 0.5)
+        with pytest.raises(ValueError):
+            betainc_reg(1.0, -2.0, 0.5)
+
 
 class TestStudentP:
     def test_against_reference(self):
@@ -80,9 +108,46 @@ class TestStudentP:
                 1e-9,
             )
 
+    # |t| near 0, where x = df / (df + t^2) rounds to just below 1; the
+    # third is a feature of the benchmark's tall data (seed 31)
+    SMALL_T = ((1e-6, 1998.0), (1e-7, 198.0), (-5.03e-5, 1997.5), (1e-9, 2.5))
+
+    def test_small_t(self):
+        for t, df in self.SMALL_T:
+            got = student_t_two_sided_p(t, df)
+            ref = student_t_two_sided_p_ref(t, df)
+            assert abs(got - ref) <= 1e-9, (t, df, got, ref)
+
     def test_conventions(self):
         assert student_t_two_sided_p(0.0, 7.0) == 1.0
         assert student_t_two_sided_p(math.inf, 7.0) == 0.0
+        assert student_t_two_sided_p(-math.inf, 7.0) == 0.0
+        assert math.isnan(student_t_two_sided_p(math.nan, 7.0))
+
+    def test_array_matches_scalar(self):
+        t = np.array([0.0, math.inf, -math.inf, math.nan, 1e-9, -1e-7,
+                      -5.03e-5, 0.3, -2.0, 4.5, -35.0, 1e3, 1e-300])
+        df = np.array([1.0, 3.0, 2000.0, 10.0, 2.5, 198.0,
+                       1997.5, 1.0, 17.3, 2000.0, 1.0, 1998.0, 7.0])
+        live = np.isfinite(t) & (t != 0.0)
+        x = df / (df + t * t)
+        mean = (0.5 * df + 1.0) / (0.5 * df + 2.5)
+        # both continued-fraction branches are taken
+        assert np.any(live & (x < mean)) and np.any(live & (x >= mean))
+        out = student_t_two_sided_p(t, df)
+        assert out[0] == 1.0 and out[1] == 0.0 and out[2] == 0.0
+        assert math.isnan(out[3])
+        for k in range(t.size):
+            one = student_t_two_sided_p(float(t[k]), float(df[k]))
+            assert isinstance(one, float)
+            assert one == out[k] or (math.isnan(one) and math.isnan(out[k]))
+        for k in np.flatnonzero(live):
+            ref = student_t_two_sided_p_ref(float(t[k]), float(df[k]))
+            assert abs(out[k] - ref) <= 1e-9, (t[k], df[k], out[k], ref)
+
+    def test_rejects_nonpositive_df(self):
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(np.array([1.0, 2.0]), np.array([3.0, 0.0]))
 
 
 class TestLinkFunctions:
