@@ -17,12 +17,21 @@ Blocked roles are spread evenly over parameter groups, each group scaling the
 shared equicorrelation matrix by its own class-0/class-1 variance pair.
 
 Determinism contract: output is a pure function of (config, n, seed),
-bit-identical across platforms, runs, and thread counts. Each block (and
-each high-variance feature) draws from its own counter-based stream, so
-generation order never matters; see ``rng`` for the exact bit derivations.
-Stream layout: (seed, 0) drives the column placement permutation,
-(seed, 1, b) the b-th correlated block, (seed, 2, h) the h-th high-variance
-feature. Within a block, normals fill row-major (sample-major) order.
+bit-identical across runs and thread counts (not yet across CPUs; see
+``rng``). Each block (and each high-variance feature) draws from its own
+counter-based stream, so generation order never matters; see ``rng`` for
+the exact bit derivations. Stream layout, for n samples and blocks of k:
+
+* (seed, 0) drives the column placement permutation;
+* (seed, 1, b) is the b-th correlated block: words 0..n*k-1 are Box-Muller
+  pairs, and the normals fill the n x k block row-major (sample-major);
+* (seed, 2, h) is the h-th high-variance feature: word 0 is the mixing
+  weight, words 1..n the component draws (one uniform per sample), and
+  words n+1..2n the normals, Box-Muller pairs in sample order.
+
+Because each stream's words are fixed by this layout, ``generate`` draws
+the streams of one family in batches, one array pass per batch, and gets the
+same bits as drawing them one stream at a time.
 """
 
 from __future__ import annotations
@@ -36,12 +45,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, NotPD
-from .rng import Stream
+from .rng import Stream, normals, stream_words, uniforms
 
 GLOBAL = "GLOBAL"
 HETERO = "HETERO"
 LOWVAR_NULL = "LOWVAR_NULL"
 HIGHVAR_NULL = "HIGHVAR_NULL"
+
+# Words drawn per batch of streams; bounds each batch temporary near 0.5 MB.
+_BATCH_WORDS = 1 << 16
 
 FULL_GROUP_SIGMAS = ((0.16, 0.16), (0.49, 0.49), (0.09, 0.25), (0.49, 0.64))
 DESK_GROUP_SIGMAS = ((0.16, 0.16), (0.09, 0.25))
@@ -178,13 +190,17 @@ def block_covariance(k: int, rho: float, sigma: float):
 
 
 def _correlate(z: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Apply the Cholesky factor to iid normals row-wise, BLAS-free."""
-    n, k = z.shape
-    out = np.zeros((n, k), dtype=np.float64)
+    """Apply lower Cholesky factors to iid normals row-wise, BLAS-free.
+
+    `z` is (..., n, k); `low` is one (k, k) factor or a stack (..., k, k)
+    with one factor per leading index of `z`.
+    """
+    k = z.shape[-1]
+    out = np.zeros(z.shape, dtype=np.float64)
     for j in range(k):
-        col = out[:, j]
+        col = out[..., j]
         for t in range(j + 1):
-            col += low[j, t] * z[:, t]
+            col += low[..., j, t, None] * z[..., t]
     return out
 
 
@@ -250,54 +266,67 @@ def generate(config: SynthConfig, n: int, seed: int) -> LabeledMatrix:
     subclass[n0 + n_sub0:] = 1
 
     k = config.block_size
+    blocks = _canonical_blocks(config)
+    groups = np.array([group for _, group, _ in blocks], dtype=np.intp)
+    # rows each block shifts: 0 none, 1 class 1, 2 + s subclass s
+    shift_rows = np.stack([np.zeros(n, dtype=bool), labels == 1,
+                           subclass == 0, subclass == 1])
+    shift_of = np.array(
+        [1 if role == GLOBAL else 2 + orientation if role == HETERO else 0
+         for role, _, orientation in blocks],
+        dtype=np.intp,
+    )
+    # Cholesky factors per (group, class): (g, 2, k, k)
+    low = np.array([[block_covariance(k, config.rho, sigma)[1] for sigma in pair]
+                    for pair in config.group_sigmas])
     mu1 = config.mu1()
-    chol_cache: dict[float, np.ndarray] = {}
-
-    def chol(sigma: float) -> np.ndarray:
-        if sigma not in chol_cache:
-            chol_cache[sigma] = block_covariance(k, config.rho, sigma)[1]
-        return chol_cache[sigma]
 
     perm = Stream(seed, 0).permutation(config.n_features)
     values = np.empty((n, config.n_features), dtype=np.float64)
-    truth = [""] * config.n_features
 
-    blocks = _canonical_blocks(config)
-    col = 0
-    for b, (role, group, orientation) in enumerate(blocks):
-        sigma0, sigma1 = config.group_sigmas[group]
-        z = Stream(seed, 1, b).normals(n * k).reshape(n, k)
-        x = _correlate(z, chol(sigma0))
-        if role == GLOBAL:
-            shifted = labels == 1
-        elif role == HETERO:
-            shifted = subclass == orientation
-        else:
-            shifted = None
-        if shifted is not None and np.any(shifted):
-            x[shifted] = _correlate(z[shifted], chol(sigma1)) + mu1
-        cols = perm[col:col + k]
-        values[:, cols] = x
-        for c in cols:
-            truth[c] = role
-        col += k
+    step = max(1, _BATCH_WORDS // (n * k))
+    for b0 in range(0, len(blocks), step):
+        ids = np.arange(b0, min(b0 + step, len(blocks)))
+        z = normals(uniforms(stream_words(seed, 1, ids, n * k)))
+        z = z.reshape(len(ids), n, k)
+        x = _correlate(z, low[groups[ids], 0])
+        shifted = ids[shift_of[ids] > 0]
+        if shifted.size:
+            rel = shifted - b0
+            y = _correlate(z[rel], low[groups[shifted], 1]) + mu1
+            x[rel] = np.where(shift_rows[shift_of[shifted], :, None], y, x[rel])
+        values[:, b0 * k:(b0 + len(ids)) * k] = x.transpose(1, 0, 2).reshape(n, -1)
 
-    for h in range(config.n_highvar):
-        sigma0, sigma1 = config.group_sigmas[h % config.n_groups]
-        stream = Stream(seed, 2, h)
-        p = stream.uniforms(1)[0]
-        comp = stream.uniforms(n) < p
-        z = stream.normals(n)
-        column = np.where(comp, math.sqrt(sigma0) * z, 1.0 + math.sqrt(sigma1) * z)
-        c = perm[col]
-        values[:, c] = column
-        truth[c] = HIGHVAR_NULL
-        col += 1
+    col0 = len(blocks) * k
+    scales = np.sqrt(np.array(config.group_sigmas, dtype=np.float64))
+    step = max(1, _BATCH_WORDS // (2 * n + 1))
+    for h0 in range(0, config.n_highvar, step):
+        ids = np.arange(h0, min(h0 + step, config.n_highvar))
+        u = uniforms(stream_words(seed, 2, ids, 2 * n + 1))
+        comp = u[:, 1:n + 1] < u[:, :1]
+        z = normals(u[:, n + 1:])
+        sd = scales[ids % config.n_groups]
+        column = np.where(comp, sd[:, :1] * z, 1.0 + sd[:, 1:] * z)
+        values[:, col0 + h0:col0 + h0 + len(ids)] = column.T
+
+    # Draw i sits in column i so far; it belongs in column perm[i]. Move
+    # every column into place with one gather per chunk of rows.
+    inverse = np.argsort(perm)
+    buf = np.empty((max(1, _BATCH_WORDS // config.n_features), config.n_features))
+    for r0 in range(0, n, len(buf)):
+        chunk = values[r0:r0 + len(buf)]
+        np.take(chunk, inverse, axis=1, out=buf[:len(chunk)])
+        chunk[...] = buf[:len(chunk)]
+    draw_tags = np.array(
+        [role for role, _, _ in blocks for _ in range(k)]
+        + [HIGHVAR_NULL] * config.n_highvar,
+        dtype=object,
+    )
 
     return LabeledMatrix(
         values=values,
         labels=labels,
-        truth=tuple(truth),
+        truth=tuple(draw_tags[inverse].tolist()),
         seed=seed,
         config_digest=config.digest(),
         subclass=subclass,

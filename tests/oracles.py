@@ -3,7 +3,9 @@
 Nothing here may call into the package's own closed-form paths: oracles are
 either high-precision (mpmath at 50 digits) or brute-force (adaptive
 quadrature, exhaustive enumeration), so agreement with the package is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology. The one exception is the per-stream
+generator, which draws through ``obf.rng.Stream``: ``tests/test_rng.py``
+checks those streams word for word on their own.
 """
 
 from __future__ import annotations
@@ -241,3 +243,89 @@ def np_prefix_length(costs, alpha: float) -> int:
         total += float(c)
         k += 1
     return k
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_ref(z: int) -> int:
+    """The splitmix64 finalizer on plain Python ints."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def generate_per_stream(config, n: int, seed: int):
+    """The synthetic generator drawn one stream at a time.
+
+    Each correlated block and each mixture feature keys its own
+    ``Stream`` and draws its words in the documented layout, then the
+    Cholesky factor is applied one block at a time with plain loops. This is
+    the generator as it was written before it was batched across streams,
+    so ``generate`` must match it bit for bit.
+    """
+    from obf.rng import Stream
+    from obf.synth import (
+        GLOBAL, HETERO, HIGHVAR_NULL, LabeledMatrix, _canonical_blocks,
+        block_covariance,
+    )
+
+    def correlate(z, low):
+        out = np.zeros(z.shape, dtype=np.float64)
+        for j in range(z.shape[1]):
+            col = out[:, j]
+            for t in range(j + 1):
+                col += low[j, t] * z[:, t]
+        return out
+
+    n0 = n // 2
+    n1 = n - n0
+    labels = np.zeros(n, dtype=np.int8)
+    labels[n0:] = 1
+    subclass = np.full(n, -1, dtype=np.int8)
+    n_sub0 = (n1 + 1) // 2
+    subclass[n0:n0 + n_sub0] = 0
+    subclass[n0 + n_sub0:] = 1
+
+    k = config.block_size
+    mu1 = config.mu1()
+    perm = Stream(seed, 0).permutation(config.n_features)
+    values = np.empty((n, config.n_features), dtype=np.float64)
+    truth = [""] * config.n_features
+    col = 0
+    for b, (role, group, orientation) in enumerate(_canonical_blocks(config)):
+        sigma0, sigma1 = config.group_sigmas[group]
+        z = Stream(seed, 1, b).normals(n * k).reshape(n, k)
+        x = correlate(z, block_covariance(k, config.rho, sigma0)[1])
+        if role == GLOBAL:
+            shifted = labels == 1
+        elif role == HETERO:
+            shifted = subclass == orientation
+        else:
+            shifted = None
+        if shifted is not None and np.any(shifted):
+            low1 = block_covariance(k, config.rho, sigma1)[1]
+            x[shifted] = correlate(z[shifted], low1) + mu1
+        cols = perm[col:col + k]
+        values[:, cols] = x
+        for c in cols:
+            truth[c] = role
+        col += k
+
+    for h in range(config.n_highvar):
+        sigma0, sigma1 = config.group_sigmas[h % config.n_groups]
+        stream = Stream(seed, 2, h)
+        p = stream.uniforms(1)[0]
+        comp = stream.uniforms(n) < p
+        z = stream.normals(n)
+        column = np.where(comp, math.sqrt(sigma0) * z, 1.0 + math.sqrt(sigma1) * z)
+        c = perm[col]
+        values[:, c] = column
+        truth[c] = HIGHVAR_NULL
+        col += 1
+
+    return LabeledMatrix(
+        values=values, labels=labels, truth=tuple(truth), seed=seed,
+        config_digest=config.digest(), subclass=subclass,
+    )

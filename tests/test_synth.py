@@ -2,11 +2,15 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from obf import synth
 from obf.errors import ConfigInvalid, NotPD
 from obf.synth import (
     DESK_GROUP_SIGMAS,
@@ -21,6 +25,7 @@ from obf.synth import (
     full_config,
     truth_set,
 )
+from oracles import generate_per_stream
 
 
 def tiny_config(**overrides):
@@ -31,6 +36,19 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+FROZEN_TINY_DIGEST = (
+    "c2d5f4d41251d8d6b69dd144874b083b3cd53dc790f66287d0d0422a6211b873"
+)
+
+# generate(preset, n, seed=7): sha256 of values.tobytes() then the truth tags
+FROZEN_SIZE_DIGESTS = {
+    ("full", 20): "3c2516669d53eeba2fc72de7923fa429511fa67798e6cd6b013a96bbc140b580",
+    ("full", 200): "8709837248b8932dafd155fb49082040d05b9156964ba5609cdd92a0e7aeeb7f",
+    ("desk", 650): "11c45c3e63e0efa748f1004c7be36bd7fe03a026e17c9a2048e8fbc0f60ed774",
+    ("desk", 2000): "ca6c4e58ea0f3148f9adb3d2fd1d047c7d74312dd6903bde90c97ce396b68423",
+}
 
 
 class TestBlockCovariance:
@@ -126,6 +144,14 @@ class TestGenerate:
         digest = hashlib.sha256(data.values.tobytes()).hexdigest()
         assert digest == FROZEN_TINY_DIGEST
 
+    @pytest.mark.parametrize("preset, n", sorted(FROZEN_SIZE_DIGESTS))
+    def test_frozen_digest_at_size(self, preset, n):
+        # full and desk presets at real sizes; desk n=650 ends each block
+        # stream inside a Philox block (n * k = 3250 is not a multiple of 4)
+        config = {"full": full_config, "desk": desk_config}[preset]()
+        data = generate(config, n, 7)
+        assert matrix_digest(data) == FROZEN_SIZE_DIGESTS[preset, n]
+
     def test_shapes_roles_and_labels(self):
         cfg = tiny_config()
         data = generate(cfg, 26, 5)
@@ -162,6 +188,86 @@ class TestGenerate:
             generate(tiny_config(), 7, 0)
         with pytest.raises(ConfigInvalid):
             generate(tiny_config(), 2, 0)
+
+
+def matrix_digest(data) -> str:
+    """sha256 over the value bytes followed by the newline-joined truth tags."""
+    h = hashlib.sha256(data.values.tobytes())
+    h.update("\n".join(data.truth).encode("ascii"))
+    return h.hexdigest()
+
+
+def assert_same_matrix(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.truth == want.truth
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.subclass, want.subclass)
+    assert got.config_digest == want.config_digest
+
+
+EDGE_CONFIGS = {
+    "no_blocked_roles": SynthConfig(
+        n_features=6, n_global=0, n_hetero=0, n_lowvar=0, n_highvar=6,
+        n_groups=2, group_sigmas=DESK_GROUP_SIGMAS,
+    ),
+    "no_highvar": tiny_config(n_features=100, n_highvar=0),
+    "block_size_1": SynthConfig(
+        n_features=14, n_global=2, n_hetero=4, n_lowvar=6, n_highvar=2,
+        block_size=1, n_groups=2, group_sigmas=DESK_GROUP_SIGMAS,
+    ),
+    "single_group": SynthConfig(
+        n_features=27, n_global=6, n_hetero=6, n_lowvar=12, n_highvar=3,
+        block_size=3, rho=0.5, n_groups=1, group_sigmas=((0.25, 0.49),),
+    ),
+}
+
+
+class TestBatchedAgainstPerStream:
+    @pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
+    @pytest.mark.parametrize("n", (4, 6, 26))  # n1 = 3 and 13 split oddly
+    def test_edge_configs(self, name, n):
+        config = EDGE_CONFIGS[name]
+        assert_same_matrix(generate(config, n, 31), generate_per_stream(config, n, 31))
+
+    @pytest.mark.parametrize("n", (4000, 20_000))
+    def test_batch_boundaries(self, n):
+        # 4000 leaves a partial last batch of blocks and of mixtures; 20000
+        # puts one stream in each batch
+        config = tiny_config()
+        assert_same_matrix(generate(config, n, 5), generate_per_stream(config, n, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=st.integers(1, 3),
+        k=st.integers(1, 4),
+        per_group=st.tuples(st.integers(0, 2), st.integers(0, 1),
+                            st.integers(0, 2), st.integers(0, 3)),
+        rho=st.sampled_from((0.0, 0.5, 0.8, -0.2)),
+        sigmas=st.lists(st.tuples(st.sampled_from((0.09, 0.16, 0.49, 1.0)),
+                                  st.sampled_from((0.09, 0.25, 0.64, 1.0))),
+                        min_size=3, max_size=3),
+        half_n=st.integers(2, 20),
+        seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**63, -1)),
+        budget=st.sampled_from((1, 37, 1 << 16)),
+    )
+    def test_small_configs(self, groups, k, per_group, rho, sigmas, half_n,
+                           seed, budget):
+        n_global = per_group[0] * groups * k
+        n_hetero = 2 * per_group[1] * groups * k
+        n_lowvar = per_group[2] * groups * k
+        n_highvar = per_group[3] * groups
+        total = n_global + n_hetero + n_lowvar + n_highvar
+        if total == 0:
+            n_highvar = total = groups
+        config = SynthConfig(
+            n_features=total, n_global=n_global, n_hetero=n_hetero,
+            n_lowvar=n_lowvar, n_highvar=n_highvar, block_size=k, rho=rho,
+            n_groups=groups, group_sigmas=tuple(sigmas[:groups]),
+        )
+        n = 2 * half_n
+        with mock.patch.object(synth, "_BATCH_WORDS", budget):
+            got = generate(config, n, seed)
+        assert_same_matrix(got, generate_per_stream(config, n, seed))
 
 
 class TestSamplerDistribution:
@@ -270,7 +376,3 @@ class TestSamplerDistribution:
             assert abs(x0[:, col].mean() - x1[:, col].mean()) < 0.05
             assert abs(x0[:, col].var(ddof=1) - x1[:, col].var(ddof=1)) < 0.05
 
-
-FROZEN_TINY_DIGEST = (
-    "c2d5f4d41251d8d6b69dd144874b083b3cd53dc790f66287d0d0422a6211b873"
-)
