@@ -56,6 +56,7 @@ from .harness import (
 from .selection import (
     LossSpec,
     RocCurve,
+    Rule,
     ScoreTable,
     SelectionResult,
     roc,

@@ -212,6 +212,8 @@ def pp_prior(pi: float = 0.005) -> PriorSpec:
 
 def jp_prior(pi: float = 0.005, L: float = DEFAULT_IMPROPER_L) -> PriorSpec:
     """Jeffreys-style improper preset: s = kappa = nu = 0, weight L (default 0.1)."""
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be finite and > 0, got {L}")
     block = NIWHyper(s=0.0, kappa=0.0, m=None, nu=0.0)
     return PriorSpec(good0=block, good1=block, bad=block, pi=pi, logL=math.log(L))
 

@@ -162,21 +162,15 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _apply_selection(table: ScoreTable, settings):
-    if settings.criterion == "mr":
-        return select_mr(table, settings.loss)
-    if settings.criterion == "mnc":
-        return select_mnc(table)
-    if settings.criterion == "cmnc":
-        return select_cmnc(table, settings.d)
-    return select_np(table, settings.alpha)
-
-
 def cmd_select(args) -> int:
     cfg = load_config(args.config)
-    settings = _require(cfg, "selection", "selection")
+    rule = _require(cfg, "selection", "selection")
     table = _load_table(args, cfg)
-    result = _apply_selection(table, settings)
+    if rule.criterion == "mnc":
+        result = select_mnc(table)
+    else:
+        select = {"mr": select_mr, "cmnc": select_cmnc, "np": select_np}
+        result = select[rule.criterion](table, rule.param)
     position = {fid: i for i, fid in enumerate(table.feature_ids)}
     rank_of = {fid: i + 1 for i, fid in enumerate(result.ranking)}
     header = ["feature", "rank", "log_h", "pi_star"]

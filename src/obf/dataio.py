@@ -27,7 +27,7 @@ from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
 from .errors import AllDegenerate, ConfigInvalid, DatasetParseError, OutputError
 from .harness import parse_method
-from .selection import LossSpec, ScoreTable
+from .selection import CRITERIA, Rule, ScoreTable, parse_rule
 from .synth import SynthConfig, desk_config, full_config
 
 
@@ -260,7 +260,7 @@ _PRIOR_KEYS = {
     "s1", "kappa1", "m1", "nu1",
     "sb", "kappab", "mb", "nub",
 }
-_SELECTION_KEYS = {"criterion", "t", "d", "alpha", "lambdas"}
+_SELECTION_KEYS = {"criterion", *(k for keys in CRITERIA.values() for k in keys)}
 _SYNTH_KEYS = {
     "preset", "n_features", "n_global", "n_hetero", "n_lowvar", "n_highvar",
     "block_size", "rho", "n_groups", "group_sigmas", "n_subclasses",
@@ -287,18 +287,10 @@ def _preset_values(spec: PriorSpec) -> dict:
     return vals
 
 
-@dataclass(frozen=True)
-class SelectionSettings:
-    criterion: str
-    loss: Optional[LossSpec] = None
-    d: Optional[int] = None
-    alpha: Optional[float] = None
-
-
 @dataclass
 class RunConfig:
     prior: Optional[PriorSpec] = None
-    selection: Optional[SelectionSettings] = None
+    selection: Optional[Rule] = None
     synth: Optional[SynthConfig] = None
     n_grid: Optional[tuple] = None
     replicates: Optional[int] = None
@@ -361,45 +353,6 @@ def _build_prior(sec: dict) -> PriorSpec:
         raise ConfigInvalid(f"[prior] {err}") from None
 
 
-def _build_selection(sec: dict) -> SelectionSettings:
-    criterion = sec.get("criterion")
-    if criterion not in ("mr", "mnc", "cmnc", "np"):
-        raise ConfigInvalid(f"[selection] unknown criterion {criterion!r}")
-    try:
-        if criterion == "mr":
-            if "lambdas" in sec:
-                parts = [float(p) for p in sec["lambdas"].split(",")]
-                if len(parts) != 4:
-                    raise ConfigInvalid(
-                        "[selection] lambdas needs gg,gb,bg,bb"
-                    )
-                loss = LossSpec(*parts)
-            elif "t" in sec:
-                t = _as_float("selection", "t", sec["t"])
-                if not 0.0 <= t <= 1.0:
-                    raise ConfigInvalid("[selection] T must lie in [0, 1]")
-                loss = LossSpec(0.0, t, 1.0 - t, 0.0)
-            else:
-                raise ConfigInvalid("[selection] mr needs t or lambdas")
-            return SelectionSettings(criterion="mr", loss=loss)
-        if criterion == "mnc":
-            return SelectionSettings(criterion="mnc")
-        if criterion == "cmnc":
-            if "d" not in sec:
-                raise ConfigInvalid("[selection] cmnc needs d")
-            return SelectionSettings(
-                criterion="cmnc", d=_as_int("selection", "d", sec["d"])
-            )
-        if "alpha" not in sec:
-            raise ConfigInvalid("[selection] np needs alpha")
-        alpha = _as_float("selection", "alpha", sec["alpha"])
-        if alpha < 0.0:
-            raise ConfigInvalid("[selection] alpha must be >= 0")
-        return SelectionSettings(criterion="np", alpha=alpha)
-    except ValueError as err:
-        raise ConfigInvalid(f"[selection] {err}") from None
-
-
 def _build_synth(sec: dict) -> SynthConfig:
     preset = sec.get("preset")
     if preset == "full":
@@ -444,13 +397,15 @@ def _build_synth(sec: dict) -> SynthConfig:
 
 def _parse_grid(raw: str) -> tuple:
     raw = raw.strip()
-    if ":" in raw:
-        bits = raw.split(":")
-        if len(bits) != 3:
-            raise ConfigInvalid("[plan] n_grid range must be start:stop:step")
-        start, stop, step = (int(b) for b in bits)
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(b) for b in raw.split(","))
+    if ":" not in raw:
+        return tuple(_as_int("plan", "n_grid", b) for b in raw.split(","))
+    bits = raw.split(":")
+    if len(bits) != 3:
+        raise ConfigInvalid("[plan] n_grid range must be start:stop:step")
+    start, stop, step = (_as_int("plan", "n_grid", b) for b in bits)
+    if step <= 0:
+        raise ConfigInvalid(f"[plan] n_grid step must be > 0, got {step}")
+    return tuple(range(start, stop + 1, step))
 
 
 def load_config(path) -> RunConfig:
@@ -480,7 +435,8 @@ def load_config(path) -> RunConfig:
     if cp.has_section("prior"):
         cfg.prior = _build_prior(dict(cp["prior"]))
     if cp.has_section("selection"):
-        cfg.selection = _build_selection(dict(cp["selection"]))
+        sec = dict(cp["selection"])
+        cfg.selection = parse_rule(sec.pop("criterion", None), sec, "[selection]")
     if cp.has_section("synth"):
         cfg.synth = _build_synth(dict(cp["synth"]))
     if cp.has_section("plan"):
@@ -496,8 +452,6 @@ def load_config(path) -> RunConfig:
             )
         except KeyError as err:
             raise ConfigInvalid(f"[plan] missing key {err.args[0]}") from None
-        except ValueError as err:
-            raise ConfigInvalid(f"[plan] {err}") from None
         if not methods:
             raise ConfigInvalid("[plan] methods must be non-empty")
         cfg.methods = methods

@@ -21,31 +21,35 @@ from typing import Optional
 
 import numpy as np
 
-from .bayes import jp_prior, log_h_table, matrix_stats, pp_prior
+from .bayes import PriorSpec, jp_prior, log_h_table, matrix_stats, pp_prior
 from .baselines import bd_array, mi_array, welch_t_array, wilks_array
 from .errors import ConfigInvalid
 from .rng import replicate_seed
-from .selection import budget_cut, rank_order, threshold_cut, top_cut
+from .selection import Rule, parse_rule, rank_order
 from .synth import GLOBAL, HETERO, SynthConfig, generate
 
 OBF_PRESETS = ("pp", "jp")
-OBF_CRITERIA = ("mr", "mnc", "cmnc", "np")
-BASELINE_KINDS = ("welch_t", "bd", "mi", "wilks")
+# head of a baseline method string -> (kind, name)
+BASELINES = {"t": ("welch_t", "T-TEST"), "welch": ("welch_t", "T-TEST"),
+             "bd": ("bd", "BD"), "mi": ("mi", "MI"), "wilks": ("wilks", "WILKS")}
+# how a method name shows each parameter, in this order
+_SHOWN = {"t": "T", "d": "D", "alpha": "a", "pi": "pi", "l": "L"}
 MARKER_TAGS = (GLOBAL, HETERO)
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One scoring method: an OBF preset/criterion or a top-D baseline."""
+    """The filter under a prior, or a baseline's key, cut by a rule."""
 
     name: str
     kind: str
-    preset: Optional[str] = None
-    criterion: Optional[str] = None
-    param: Optional[float] = None
-    top_d: Optional[int] = None
-    pi: Optional[float] = None
-    weight: Optional[float] = None
+    rule: Rule
+    prior: Optional[PriorSpec] = None
+
+
+def _prior_for(preset: str, **overrides) -> PriorSpec:
+    """A preset prior with its pi and, for jp, its weight L overridden."""
+    return (pp_prior if preset == "pp" else jp_prior)(**overrides)
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -54,10 +58,12 @@ def parse_method(text: str) -> MethodSpec:
     Grammar: ``mnc-obf-pp``, ``mr-obf-jp:T=0.9``, ``cmnc-obf-pp:D=100``,
     ``np-obf-jp:alpha=0.05`` for the Bayesian filter (optionally with
     ``pi=``/``L=`` preset overrides), and ``bd:D=100``, ``t:D=100``,
-    ``mi:D=100``, ``wilks:D=100`` for the baselines.
+    ``mi:D=100``, ``wilks:D=100`` for the baselines. The name shows every
+    parameter given, e.g. ``NP-OBF-JP(a=0.05;pi=0.01)``.
     """
-    t = text.strip().lower()
-    head, _, tail = t.partition(":")
+    text = text.strip()
+    where = f"method {text!r}"
+    head, _, tail = text.lower().partition(":")
     params = {}
     if tail:
         for kv in tail.split(","):
@@ -65,60 +71,33 @@ def parse_method(text: str) -> MethodSpec:
             if not value:
                 raise ConfigInvalid(f"malformed method parameter {kv!r} in {text!r}")
             params[key.strip()] = value.strip()
-
-    def fnum(key):
-        try:
-            return float(params[key])
-        except KeyError:
-            raise ConfigInvalid(f"method {text!r} requires {key}=") from None
-        except ValueError:
-            raise ConfigInvalid(f"bad number for {key} in {text!r}") from None
-
-    pi = float(params["pi"]) if "pi" in params else None
-    weight = float(params["l"]) if "l" in params else None
-
-    def reject_extras(allowed):
-        extras = set(params) - allowed
-        if extras:
-            raise ConfigInvalid(
-                f"unknown parameter(s) {sorted(extras)} in method {text!r}"
-            )
+    shown = dict(params)
 
     parts = head.split("-")
-    if len(parts) == 3 and parts[1] == "obf":
+    if len(parts) == 3 and parts[1] == "obf" and parts[2] in OBF_PRESETS:
         criterion, _, preset = parts
-        if criterion not in OBF_CRITERIA or preset not in OBF_PRESETS:
-            raise ConfigInvalid(f"unknown method {text!r}")
-        if preset == "pp" and weight is not None:
-            raise ConfigInvalid("L override only applies to the jp preset")
-        crit_key = {"mr": {"t"}, "cmnc": {"d"}, "np": {"alpha"}, "mnc": set()}
-        reject_extras({"pi", "l"} | crit_key[criterion])
-        param = None
-        suffix = ""
-        if criterion == "mr":
-            param = fnum("t")
-            suffix = f"(T={params['t']})"
-        elif criterion == "cmnc":
-            param = int(fnum("d"))
-            suffix = f"(D={param})"
-        elif criterion == "np":
-            param = fnum("alpha")
-            suffix = f"(a={params['alpha']})"
-        name = f"{criterion.upper()}-OBF-{preset.upper()}{suffix}"
-        return MethodSpec(
-            name=name, kind="obf", preset=preset, criterion=criterion,
-            param=param, pi=pi, weight=weight,
-        )
-
-    kinds = {"t": "welch_t", "welch": "welch_t", "bd": "bd", "mi": "mi",
-             "wilks": "wilks"}
-    if head in kinds:
-        reject_extras({"d"})
-        d = int(fnum("d"))
-        labels = {"welch_t": "T-TEST", "bd": "BD", "mi": "MI", "wilks": "WILKS"}
-        kind = kinds[head]
-        return MethodSpec(name=f"{labels[kind]}(D={d})", kind=kind, top_d=d)
-    raise ConfigInvalid(f"unknown method {text!r}")
+        kind, label = "obf", head.upper()
+        if preset == "pp" and "l" in params:
+            raise ConfigInvalid(f"{where}: L override only applies to the jp preset")
+        try:
+            prior = _prior_for(preset, **{
+                name: float(params.pop(name.lower()))
+                for name in ("pi", "L") if name.lower() in params
+            })
+        except ValueError as err:
+            raise ConfigInvalid(f"{where}: {err}") from None
+    elif head in BASELINES:
+        criterion, prior = "cmnc", None
+        kind, label = BASELINES[head]
+    else:
+        raise ConfigInvalid(f"unknown method {text!r}")
+    rule = parse_rule(criterion, params, where)
+    # D shows as the integer it reads as: D=0100 names the method (D=100)
+    if "d" in shown:
+        shown["d"] = str(rule.param)
+    suffix = ";".join(f"{_SHOWN[k]}={shown[k]}" for k in _SHOWN if k in shown)
+    name = f"{label}({suffix})" if suffix else label
+    return MethodSpec(name=name, kind=kind, rule=rule, prior=prior)
 
 
 @dataclass(frozen=True)
@@ -140,6 +119,10 @@ class ExperimentPlan:
             raise ConfigInvalid("replicates must be >= 1")
         if not self.methods:
             raise ConfigInvalid("methods must be non-empty")
+        names = [m.name for m in self.methods]
+        twice = [name for name in names if names.count(name) > 1]
+        if twice:
+            raise ConfigInvalid(f"method {twice[0]} appears more than once")
 
 
 @dataclass(frozen=True)
@@ -166,14 +149,6 @@ def score_selection(selected, truth, total: int):
     return correct, tp, fp
 
 
-def _prior_for(method: MethodSpec):
-    pi = method.pi if method.pi is not None else 0.005
-    if method.preset == "pp":
-        return pp_prior(pi)
-    weight = method.weight if method.weight is not None else 0.1
-    return jp_prior(pi, weight)
-
-
 def _replicate_cell(payload):
     """Score every method on one generated (n, replicate) dataset."""
     config, base_seed, n, rep, methods, probe_preset, probe_tags = payload
@@ -184,11 +159,10 @@ def _replicate_cell(payload):
 
     obf_cache = {}
 
-    def obf_scores(method: MethodSpec):
-        key = (method.preset, method.pi, method.weight)
-        if key not in obf_cache:
-            obf_cache[key] = log_h_table(_prior_for(method), ms)
-        return obf_cache[key]
+    def obf_scores(prior: PriorSpec):
+        if prior not in obf_cache:
+            obf_cache[prior] = log_h_table(prior, ms)
+        return obf_cache[prior]
 
     baseline_cache = {}
 
@@ -209,20 +183,11 @@ def _replicate_cell(payload):
     per_method = {}
     for method in methods:
         if method.kind == "obf":
-            lh, pi_star, log1m, ok = obf_scores(method)
-            order = rank_order(lh, ok)
-            if method.criterion == "np":
-                costs = np.where(ok, np.exp(log1m), np.inf)
-                picked = budget_cut(order, costs, method.param)
-            elif method.criterion == "cmnc":
-                picked = top_cut(order, int(method.param), int(np.count_nonzero(ok)))
-            else:
-                t = 0.5 if method.criterion == "mnc" else method.param
-                picked = threshold_cut(order, pi_star, t)
+            key, pi_star, log1m, ok = obf_scores(method.prior)
         else:
             key, ok = baseline_key(method.kind)
-            picked = top_cut(rank_order(key, ok), method.top_d,
-                             int(np.count_nonzero(ok)))
+            pi_star = log1m = None
+        picked = method.rule.cut(rank_order(key, ok), pi_star, log1m, ok)
         correct, tp, fp = score_selection(
             picked.tolist(), truth, config.n_features
         )
@@ -232,9 +197,7 @@ def _replicate_cell(payload):
 
     probe = None
     if probe_preset is not None:
-        probe_method = MethodSpec(name="probe", kind="obf", preset=probe_preset,
-                                  criterion="mnc")
-        lh, _, _, ok = obf_scores(probe_method)
+        lh, _, _, ok = obf_scores(_prior_for(probe_preset))
         probe_mask = np.array([t in probe_tags for t in data.truth], dtype=bool)
         probe = (lh[probe_mask & ok].copy(), lh[~probe_mask & ok].copy())
     return (n, rep), per_method, probe

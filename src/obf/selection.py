@@ -14,21 +14,27 @@ ascending position in the table) and differ only in where the cut falls:
 
 Expected counts of correct/incorrect selections are linear in the per-feature
 probabilities, which is what makes every rule a ranking plus a cutoff.
+``parse_rule`` reads a ``Rule`` from ``[selection]`` or a method string, and
+``Rule.cut`` is the one place a criterion becomes a cutoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadSize, TooLarge
+from .errors import BadSize, ConfigInvalid, TooLarge
 from .special import logsumexp
 
 SUBSET_ENUM_LIMIT = 20
 _ENUM_CHUNK = 1 << 16
 _NEG_CLAMP = -1e300
+# criterion -> the keys it reads; it takes exactly one of them (MNC none)
+CRITERIA = {"mr": ("t", "lambdas"), "mnc": (), "cmnc": ("d",), "np": ("alpha",)}
 
 
 def rank_order(key, ok=True) -> np.ndarray:
@@ -47,6 +53,8 @@ def threshold_cut(order: np.ndarray, pi: np.ndarray, t: float) -> np.ndarray:
 
 def top_cut(order: np.ndarray, d: int, n_ok: int) -> np.ndarray:
     """CMNC/top-D: the first d ranked positions, at most the n_ok scorable."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     return order[:min(d, n_ok)]
 
 
@@ -113,6 +121,9 @@ class LossSpec:
     lambda_bb: float
 
     def __post_init__(self):
+        weights = (self.lambda_gg, self.lambda_gb, self.lambda_bg, self.lambda_bb)
+        if not all(map(math.isfinite, weights)):
+            raise ValueError("loss weights must be finite")
         if not self.lambda_gb >= self.lambda_bb:
             raise ValueError("lambda_gb must be >= lambda_bb")
         if not self.lambda_bg >= self.lambda_gg:
@@ -133,6 +144,85 @@ ZERO_ONE_LOSS = LossSpec(0.0, 1.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
+class Rule:
+    """A criterion and its one parameter, range-checked on construction.
+
+    ``param`` is MR's ``LossSpec``, None for MNC, CMNC's count ``d >= 0``
+    or NP's budget ``alpha >= 0`` (``inf`` keeps the whole ranking).
+    """
+
+    criterion: str
+    param: object = None
+
+    def __post_init__(self):
+        c, p = self.criterion, self.param
+        if c not in CRITERIA:
+            raise ValueError(f"unknown criterion {c!r}")
+        if c == "mr" and not isinstance(p, LossSpec):
+            raise ValueError(f"mr takes a LossSpec, got {p!r}")
+        if c == "mnc" and p is not None:
+            raise ValueError(f"mnc takes no parameter, got {p!r}")
+        if c == "cmnc" and not (isinstance(p, Integral) and p >= 0):
+            raise ValueError(f"d must be an integer >= 0, got {p!r}")
+        if c == "np" and not (isinstance(p, Real) and p >= 0):
+            raise ValueError(f"alpha must be a number >= 0, got {p!r}")
+
+    def cut(self, order, pi_star, log1m, ok) -> np.ndarray:
+        """The positions of ``order`` kept; ``ok`` marks the scorable ones.
+
+        A top-D baseline is CMNC on its own key, with no probabilities.
+        """
+        if self.criterion == "cmnc":
+            return top_cut(order, self.param, int(np.count_nonzero(ok)))
+        if self.criterion == "np":
+            return budget_cut(order, np.where(ok, np.exp(log1m), np.inf), self.param)
+        loss = ZERO_ONE_LOSS if self.param is None else self.param
+        return threshold_cut(order, pi_star, loss.threshold)
+
+
+def _loss_from_t(t: float) -> LossSpec:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    # t + (1 - t) rounds to exactly 1, so the threshold is t itself
+    return LossSpec(0.0, t, 1.0 - t, 0.0)
+
+
+def _loss_from_lambdas(raw: str) -> LossSpec:
+    weights = raw.split(",")
+    if len(weights) != 4:
+        raise ValueError("lambdas needs four weights gg,gb,bg,bb")
+    return LossSpec(*map(float, weights))
+
+
+# parameter key -> its Rule parameter, from the key's text
+_PARAM_PARSERS = {"t": lambda raw: _loss_from_t(float(raw)),
+                  "lambdas": _loss_from_lambdas, "d": int, "alpha": float}
+
+
+def parse_rule(criterion, params: dict, where: str) -> Rule:
+    """The rule of a ``[selection]`` section or of a method string.
+
+    ``params`` maps lower-case parameter keys to their text; a key the
+    criterion does not read is an error. Every failure raises
+    ``ConfigInvalid`` naming ``where`` and the parameter.
+    """
+    if criterion not in CRITERIA:
+        raise ConfigInvalid(f"{where}: unknown criterion {criterion!r}")
+    keys = CRITERIA[criterion]
+    extra = sorted(set(params) - set(keys))
+    if extra:
+        raise ConfigInvalid(f"{where}: {criterion} does not read {', '.join(extra)}")
+    if keys and len(params) != 1:
+        raise ConfigInvalid(f"{where}: {criterion} needs {' or '.join(keys)}")
+    for key, raw in params.items():
+        try:
+            return Rule(criterion, _PARAM_PARSERS[key](raw))
+        except ValueError as err:
+            raise ConfigInvalid(f"{where} {key}={raw}: {err}") from None
+    return Rule(criterion)
+
+
+@dataclass(frozen=True)
 class SelectionResult:
     criterion: str
     param: Optional[float]
@@ -149,17 +239,21 @@ def _expected_risk(table: ScoreTable, chosen: np.ndarray, loss: LossSpec) -> flo
     return float(np.sum(np.where(chosen, inc, exc)))
 
 
+def _select(table: ScoreTable, rule: Rule, param, risk=None) -> SelectionResult:
+    order = table.rank_order()
+    chosen = rule.cut(order, table.pi_star, table.log1m, np.ones(len(table), bool))
+    return SelectionResult(
+        criterion=rule.criterion.upper(), param=param,
+        ranking=table.ids_at(order), selected=table.ids_at(chosen),
+        expected_risk=risk,
+    )
+
+
 def select_mr(table: ScoreTable, loss: LossSpec) -> SelectionResult:
     """Keep features with probability strictly above the loss threshold."""
     t = loss.threshold
-    order = table.rank_order()
-    return SelectionResult(
-        criterion="MR",
-        param=t,
-        ranking=table.ids_at(order),
-        selected=table.ids_at(threshold_cut(order, table.pi_star, t)),
-        expected_risk=_expected_risk(table, table.pi_star > t, loss),
-    )
+    risk = _expected_risk(table, table.pi_star > t, loss)
+    return _select(table, Rule("mr", loss), t, risk)
 
 
 def select_mnc(table: ScoreTable) -> SelectionResult:
@@ -171,11 +265,7 @@ def select_cmnc(table: ScoreTable, d: int) -> SelectionResult:
     """Keep exactly the top d of the ranking."""
     if d < 0 or d > len(table):
         raise BadSize(f"d={d} outside [0, {len(table)}]")
-    order = table.rank_order()
-    return SelectionResult(
-        criterion="CMNC", param=d, ranking=table.ids_at(order),
-        selected=table.ids_at(top_cut(order, d, len(table))),
-    )
+    return _select(table, Rule("cmnc", d), d)
 
 
 def select_np(table: ScoreTable, alpha: float) -> SelectionResult:
@@ -184,13 +274,7 @@ def select_np(table: ScoreTable, alpha: float) -> SelectionResult:
     Costs 1 - probability are nondecreasing along the ranking, so the greedy
     prefix that stops at the first violation is optimal.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    order = table.rank_order()
-    return SelectionResult(
-        criterion="NP", param=alpha, ranking=table.ids_at(order),
-        selected=table.ids_at(budget_cut(order, np.exp(table.log1m), alpha)),
-    )
+    return _select(table, Rule("np", alpha), alpha)
 
 
 @dataclass(frozen=True)

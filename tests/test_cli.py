@@ -525,6 +525,113 @@ class TestConsistency:
                      "--out", str(tmp_path / "x")]) == 3
 
 
+def tiny_plan(methods, n_grid="20"):
+    return (SYNTH_SMALL + f"[plan]\nn_grid = {n_grid}\nreplicates = 1\n"
+            f"methods = {methods}\n")
+
+
+class TestRejectedParameters:
+    """Every out-of-range parameter exits 3 before any work, naming itself."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("criterion = cmnc\nd = -5\n", "d must be an integer >= 0"),
+        ("criterion = cmnc\nd = 2.7\n", "d=2.7: invalid literal for int()"),
+        ("criterion = cmnc\nd = 20.0\n", "d=20.0: invalid literal for int()"),
+        ("criterion = mr\nt = nan\n", "t must lie in [0, 1]"),
+        ("criterion = mr\nt = 1.5\n", "t must lie in [0, 1]"),
+        ("criterion = np\nalpha = -1\n", "alpha must be a number >= 0"),
+        ("criterion = np\nalpha = nan\n", "alpha must be a number >= 0"),
+        ("criterion = mr\nlambdas = 0,inf,1,0\n",
+         "lambdas=0,inf,1,0: loss weights must be finite"),
+        ("criterion = mr\nt = 0.5\nd = 3\n", "mr does not read d"),
+        ("criterion = mnc\nalpha = 0.5\n", "mnc does not read alpha"),
+        ("criterion = mr\nt = 0.5\nlambdas = 0,1,1,0\n", "mr needs t or lambdas"),
+    ])
+    def test_selection(self, tmp_path, capsys, body, message):
+        ranked = TestSelect().ranked_file(tmp_path, [0.9, 0.4])
+        cfg = write(tmp_path / "sel.ini", "[selection]\n" + body)
+        out = tmp_path / "sel.csv"
+        assert main(["select", ranked, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "[selection]" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, message", [
+        ("cmnc-obf-pp:D=-5", "d must be an integer >= 0"),
+        ("t:D=-3", "d must be an integer >= 0"),
+        ("cmnc-obf-pp:D=2.7", "d=2.7: invalid literal for int()"),
+        ("cmnc-obf-pp:D=20.0", "d=20.0: invalid literal for int()"),
+        ("mr-obf-pp:T=nan", "t must lie in [0, 1]"),
+        ("mr-obf-pp:T=1.5", "t must lie in [0, 1]"),
+        ("np-obf-pp:alpha=-1", "alpha must be a number >= 0"),
+        ("np-obf-pp:alpha=nan", "alpha must be a number >= 0"),
+        ("mnc-obf-jp:L=-1", "L must be finite and > 0"),
+        ("mnc-obf-jp:L=0", "L must be finite and > 0"),
+        ("mnc-obf-pp:pi=2", "pi must lie in [0, 1]"),
+    ])
+    def test_plan_method(self, tmp_path, capsys, method, message):
+        cfg = write(tmp_path / "run.ini", tiny_plan(f"mnc-obf-jp; {method}"))
+        out = tmp_path / "out"
+        assert main(["consistency", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"method {method!r}" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("20:200:0", "n_grid step must be > 0"),
+        ("20:200:-20", "n_grid step must be > 0"),
+        ("a,b", "n_grid: not an integer: 'a'"),
+        ("20:x:20", "n_grid: not an integer: 'x'"),
+    ])
+    def test_plan_n_grid(self, tmp_path, capsys, grid, message):
+        cfg = write(tmp_path / "run.ini", tiny_plan("mnc-obf-jp", grid))
+        assert main(["consistency", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selection, method", [
+    ("criterion = mr\nt = 0.3\n", "mr-obf-pp:T=0.3"),
+    ("criterion = mnc\n", "mnc-obf-jp"),
+    ("criterion = cmnc\nd = 15\n", "cmnc-obf-pp:D=15"),
+    ("criterion = cmnc\nd = 15\n", "bd:D=15"),
+    ("criterion = np\nalpha = 0.5\n", "np-obf-jp:alpha=0.5"),
+    ("criterion = np\nalpha = inf\n", "np-obf-jp:alpha=inf"),
+])
+def test_selection_and_method_parse_to_equal_rules(tmp_path, selection, method):
+    cfg = load_config(write(tmp_path / "run.ini",
+                            "[selection]\n" + selection + tiny_plan(method)))
+    assert cfg.selection == cfg.methods[0].rule
+
+
+class TestMethodNames:
+    def metrics(self, tmp_path, methods):
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        cfg = write(tmp_path / "run.ini", tiny_plan(methods))
+        assert main(["consistency", "--config", cfg, "--out", str(out)]) == 0
+        _, rows, _ = read_csv_text(str(out / "metrics.csv"))
+        return {row[1]: row[2:] for row in rows}
+
+    def test_overrides_keep_their_own_row(self, tmp_path):
+        both = self.metrics(tmp_path, "mnc-obf-pp; mnc-obf-pp:pi=0.5")
+        assert list(both) == ["MNC-OBF-PP", "MNC-OBF-PP(pi=0.5)"]
+        assert both["MNC-OBF-PP"] != both["MNC-OBF-PP(pi=0.5)"]
+        assert both == {**self.metrics(tmp_path, "mnc-obf-pp"),
+                        **self.metrics(tmp_path, "mnc-obf-pp:pi=0.5")}
+
+    @pytest.mark.parametrize("methods, name", [
+        ("t:D=20; welch:D=20", "T-TEST(D=20)"),
+        ("mnc-obf-pp; mnc-obf-pp", "MNC-OBF-PP"),
+        ("np-obf-jp:alpha=0.5,pi=0.01; np-obf-jp:pi=0.01,alpha=0.5",
+         "NP-OBF-JP(a=0.5;pi=0.01)"),
+    ])
+    def test_two_methods_of_one_name_exit_3(self, tmp_path, capsys, methods, name):
+        cfg = write(tmp_path / "run.ini", tiny_plan(methods))
+        assert main(["consistency", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"method {name} appears more than once" in capsys.readouterr().err
+
+
 GOLDEN_PLAN = """
 [plan]
 n_grid = 20,40

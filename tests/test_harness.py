@@ -16,6 +16,7 @@ from obf.harness import (
     score_selection,
 )
 from obf.rng import replicate_seed
+from obf.selection import Rule
 from obf.synth import DESK_GROUP_SIGMAS, SynthConfig, generate
 
 from oracles import np_prefix_length
@@ -50,21 +51,36 @@ class TestScoreSelection:
 class TestParseMethod:
     def test_obf_forms(self):
         m = parse_method("mnc-obf-pp")
-        assert m == MethodSpec(name="MNC-OBF-PP", kind="obf", preset="pp",
-                               criterion="mnc")
+        assert m == MethodSpec(name="MNC-OBF-PP", kind="obf", rule=Rule("mnc"),
+                               prior=pp_prior())
         m = parse_method("cmnc-obf-jp:D=100")
-        assert m.criterion == "cmnc" and m.param == 100
+        assert m.rule.criterion == "cmnc" and m.rule.param == 100
         assert m.name == "CMNC-OBF-JP(D=100)"
         m = parse_method("mr-obf-pp:T=0.9")
-        assert m.param == pytest.approx(0.9)
+        assert m.rule.param.threshold == pytest.approx(0.9)
         m = parse_method("np-obf-jp:alpha=0.5,pi=0.01")
-        assert m.param == pytest.approx(0.5) and m.pi == pytest.approx(0.01)
+        assert m.rule.param == pytest.approx(0.5)
+        assert m.prior.pi == pytest.approx(0.01)
 
     def test_baseline_forms(self):
         assert parse_method("bd:D=50").name == "BD(D=50)"
         assert parse_method("t:D=50").kind == "welch_t"
-        assert parse_method("wilks:D=10").top_d == 10
+        assert parse_method("wilks:D=10").rule == Rule("cmnc", 10)
         assert parse_method("mi:D=10").kind == "mi"
+
+    @pytest.mark.parametrize("text, name", [
+        ("mnc-obf-pp:pi=0.5", "MNC-OBF-PP(pi=0.5)"),
+        ("np-obf-jp:pi=0.01,alpha=0.5", "NP-OBF-JP(a=0.5;pi=0.01)"),
+        ("cmnc-obf-jp:L=0.2,D=07", "CMNC-OBF-JP(D=7;L=0.2)"),
+    ])
+    def test_name_shows_every_parameter(self, text, name):
+        assert parse_method(text).name == name
+
+    def test_same_name_twice_is_rejected(self):
+        for pair in (("mnc-obf-pp", "mnc-obf-pp"), ("t:D=20", "welch:D=20")):
+            with pytest.raises(ConfigInvalid, match="appears more than once"):
+                ExperimentPlan(small_config(), (20,), 1,
+                               tuple(map(parse_method, pair)))
 
     def test_rejects_malformed(self):
         for bad in ("cmnc-obf-jp", "bd", "xyz-obf-pp", "mr-obf-pp:T=x",
@@ -218,8 +234,8 @@ class TestNpAgainstLoop:
         method = parse_method(text)
         plan = ExperimentPlan(small_config(), (30,), 2, (method,), base_seed=8)
         row = run_plan(plan)[0]
-        pi = method.pi if method.pi is not None else 0.005
-        prior = pp_prior(pi) if method.preset == "pp" else jp_prior(pi)
+        prior = {"np-obf-jp:alpha=0.5": jp_prior, "np-obf-pp:alpha=2": pp_prior,
+                 "np-obf-jp:alpha=0,pi=1": lambda: jp_prior(1.0)}[text]()
         selected, true_pos = [], []
         for rep in range(2):
             data = generate(plan.synth, 30, replicate_seed(8, 30, rep))
@@ -228,7 +244,7 @@ class TestNpAgainstLoop:
             )
             order = np.argsort(-np.where(ok, lh, -np.inf), kind="stable")
             costs = np.where(ok[order], np.exp(log1m[order]), np.inf)
-            picked = order[:np_prefix_length(costs, method.param)]
+            picked = order[:np_prefix_length(costs, method.rule.param)]
             truth = np.array([t in MARKER_TAGS for t in data.truth])
             selected.append(picked.size)
             true_pos.append(int(np.count_nonzero(truth[picked])))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from obf.errors import BadSize, TooLarge
 from obf.selection import (
     LossSpec,
+    Rule,
     ScoreTable,
     ZERO_ONE_LOSS,
     budget_cut,
@@ -22,6 +23,7 @@ from obf.selection import (
     select_np,
     subset_marginals,
     subset_posterior,
+    top_cut,
 )
 from obf.special import logistic, logit
 
@@ -152,6 +154,28 @@ class TestSelectNp:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             select_np(table_from_pi([0.5]), -0.1)
+
+    def test_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            select_np(table_from_pi([0.5]), math.nan)
+
+
+class TestRule:
+    def test_top_cut_rejects_negative_d(self):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            top_cut(np.arange(5), -3, 5)
+
+    @pytest.mark.parametrize("criterion, param", [
+        ("cmnc", -1), ("cmnc", 2.0), ("np", -0.5), ("np", math.nan),
+        ("mr", None), ("mr", 0.5), ("mnc", 0.5), ("xyz", None),
+    ])
+    def test_invalid_rule_cannot_exist(self, criterion, param):
+        with pytest.raises(ValueError):
+            Rule(criterion, param)
+
+    def test_non_finite_loss_weight(self):
+        with pytest.raises(ValueError, match="finite"):
+            LossSpec(0.0, math.inf, 1.0, 0.0)
 
 
 class TestRoc:

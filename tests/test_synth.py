@@ -297,17 +297,17 @@ class TestSamplerDistribution:
     def test_lln_marker_block_moments(self):
         cfg = desk_config()
         data = generate(cfg, 20_000, 0)
-        x0 = data.values[data.labels == 0]
-        x1 = data.values[data.labels == 1]
         mu1 = cfg.mu1()
         # group of a column is recoverable from empirical class-0 variance
         marker_cols = [i for i, t in enumerate(data.truth) if t == GLOBAL]
         assert len(marker_cols) == 10
-        got_mean1 = x1[:, marker_cols].mean(axis=0)
+        markers = data.values[:, marker_cols]
+        x0 = markers[data.labels == 0]
+        got_mean1 = markers[data.labels == 1].mean(axis=0)
         # columns of one block are contiguous in draw order, not on disk;
         # instead check the set of class-1 means covers mu1 for each block
-        for col, m in zip(marker_cols, got_mean1):
-            var0 = float(x0[:, col].var(ddof=1))
+        for col in x0.T:
+            var0 = float(col.var(ddof=1))
             sigma0 = min(cfg.group_sigmas, key=lambda p: abs(p[0] - var0))[0]
             assert abs(var0 - sigma0) < 0.02
         np.testing.assert_allclose(
