@@ -154,8 +154,9 @@ def _spacing_entropy(x: np.ndarray, clamp_eps):
     """
     gaps = np.diff(np.sort(x, axis=0), axis=0)
     tied = gaps == 0.0
-    gaps = np.where(tied, clamp_eps, gaps)
-    entropy = np.mean(np.log((x.shape[0] + 1.0) * gaps), axis=0)
+    np.copyto(gaps, clamp_eps, where=tied)
+    gaps *= x.shape[0] + 1.0
+    entropy = np.mean(np.log(gaps, out=gaps), axis=0)
     return entropy, np.count_nonzero(tied, axis=0)
 
 

@@ -381,7 +381,8 @@ def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     mean = np.sum(x, axis=0) / n
     d = x - mean
-    ss = np.sum(d * d, axis=0) - np.sum(d, axis=0) ** 2 / n
+    total = np.sum(d, axis=0)
+    ss = np.sum(np.multiply(d, d, out=d), axis=0) - total ** 2 / n
     return mean, np.maximum(ss, 0.0) / (n - 1)
 
 

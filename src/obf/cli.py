@@ -27,10 +27,11 @@ from .baselines import (
 from .dataio import (
     RunConfig,
     atomic_write_text,
-    dataset_from_rows,
+    data_lines,
     fmt_column,
     fmt_number,
     load_config,
+    open_text,
     provenance_lines,
     read_csv_text,
     read_dataset,
@@ -135,17 +136,20 @@ def _table_from_dataset(prior, values, labels, names) -> ScoreTable:
 
 
 def _load_table(args, cfg) -> ScoreTable:
-    """Scores from a ranked file, or from a dataset scored under [prior]."""
-    header, rows, _ = read_csv_text(args.input)
-    if {"feature", "log_h", "pi_star"} <= set(header):
-        return table_from_ranked(args.input, header, rows)
-    prior = _require(cfg, "prior", "prior")
-    dataset = dataset_from_rows(
-        header, rows, args.input,
-        label_column=args.label_column, transpose=args.transpose,
-    )
-    # the cell text outweighs the parsed matrix: free it before scoring
-    del header, rows
+    """Scores from a ranked file, or from a dataset scored under [prior].
+
+    The first data line chooses the reader; both read the file already open.
+    """
+    with open_text(args.input) as fh:
+        header = next(data_lines(fh), "").split(",")
+        if {"feature", "log_h", "pi_star"} <= set(header):
+            header, rows, _ = read_csv_text(args.input, fh)
+            return table_from_ranked(args.input, header, rows)
+        prior = _require(cfg, "prior", "prior")
+        dataset = read_dataset(
+            args.input, label_column=args.label_column,
+            transpose=args.transpose, fh=fh,
+        )
     return _table_from_dataset(prior, *dataset)
 
 

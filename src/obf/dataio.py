@@ -5,7 +5,14 @@ decimals, and '#'-prefixed comment lines. Numbers are written in their
 shortest round-trip decimal form, so re-parsing reproduces bit-identical
 values. Every output file starts with a provenance header (tool version,
 config digest, seed) and echoes the resolved configuration. Writes go
-through a temp file and rename, so readers never observe partial output.
+through a temp file and rename, so readers never observe partial output;
+a dataset is rendered into it in chunks of rows, never as one string.
+
+A dataset file is opened once and read in one pass by numpy's C parser,
+with label cells and feature names split off as text. A file that parser
+cannot vouch for is read again, from the same handle, by the row-by-row
+path, which follows ``float()``'s grammar and names the row and column of
+each error. Reading peaks at about twice the matrix's bytes.
 
 Run configuration is flat INI: sections [prior], [selection], [synth],
 [plan]; unknown sections or keys are errors, not warnings.
@@ -15,9 +22,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,18 +55,20 @@ def fmt_column(values) -> list:
     return [repr(v) if v == v else "" for v in np.asarray(values, np.float64).tolist()]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename.
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to ``path``
+    through a temporary file and a rename.
 
-    Raises ``OutputError`` when the path cannot be written; no temporary
-    file is left behind.
+    Raises ``OutputError`` when the path cannot be written. No temporary
+    file is left behind, and the target is untouched, when the write fails
+    or the chunks raise.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-obf-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
             # mkstemp makes the file 0600 and os.replace keeps the mode, so
             # give it the mode open() would: 0666 less the umask
             umask = os.umask(0)
@@ -93,37 +104,56 @@ def render_csv(header, rows, comments) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_csv_text(path):
-    """(header, data rows, comment lines) of a '#'-commented CSV file.
-
-    Every data row has as many cells as the header. Error positions count
-    the header as row 1 and skip blank and comment lines.
-    """
-    comments = []
-    header = None
-    rows = []
+@contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text. A failure to open or to decode it, on
+    any read inside the block, raises ``DatasetParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    comments.append(line)
-                    continue
-                row = line.split(",")
-                if header is None:
-                    header = row
-                elif len(row) == len(header):
-                    rows.append(row)
-                else:
-                    raise DatasetParseError(
-                        f"{path}: expected {len(header)} cells, found {len(row)}",
-                        row=len(rows) + 2, column=len(row),
-                    )
+            yield fh
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
         raise DatasetParseError(f"cannot read {path}: {reason}") from None
+
+
+def data_lines(fh, comments=None):
+    """The lines of an open CSV file that are neither blank nor '#' comments,
+    without line endings; comment lines go to ``comments`` when given."""
+    for raw in fh:
+        line = raw.rstrip("\n").rstrip("\r")
+        if line.startswith("#"):
+            if comments is not None:
+                comments.append(line)
+        elif line:
+            yield line
+
+
+def read_csv_text(path, fh=None):
+    """(header, data rows, comment lines) of a '#'-commented CSV file.
+
+    ``fh``, when given, is ``path`` already opened by ``open_text``; it is
+    read from its start. Every data row has as many cells as the header.
+    Error positions count the header as row 1 and skip blank and comment
+    lines.
+    """
+    if fh is None:
+        with open_text(path) as fh:
+            return read_csv_text(path, fh)
+    fh.seek(0)
+    comments = []
+    header = None
+    rows = []
+    for line in data_lines(fh, comments):
+        row = line.split(",")
+        if header is None:
+            header = row
+        elif len(row) == len(header):
+            rows.append(row)
+        else:
+            raise DatasetParseError(
+                f"{path}: expected {len(header)} cells, found {len(row)}",
+                row=len(rows) + 2, column=len(row),
+            )
     if header is None:
         raise DatasetParseError(f"{path}: no header row")
     return header, rows, comments
@@ -162,15 +192,97 @@ def _bad_cell(path, cells, row, first_column, label_cells=()):
     raise AssertionError(f"{path}: row {row} has no bad cell")
 
 
-def read_dataset(path, label_column: str = "label", transpose: bool = False):
+def read_dataset(path, label_column: str = "label", transpose: bool = False,
+                 fh=None):
     """Parse a dataset file into (values, labels, feature_names).
 
     With ``transpose=True`` the file follows the features-in-rows microarray
     convention: the header names the samples, each data row is a feature,
-    and the row named ``label_column`` holds the class labels.
+    and the row named ``label_column`` holds the class labels. ``fh``, when
+    given, is ``path`` already opened by ``open_text``.
+
+    numpy's parser reads the file in one pass. A file it cannot vouch for
+    (a cell outside its number grammar, a label that is not exactly 0 or 1,
+    a failed check) is read again from the same handle by the row-by-row
+    path, which takes ``float()``'s grammar and names each error's row and
+    column.
     """
-    header, rows, _ = read_csv_text(path)
+    if fh is None:
+        with open_text(path) as fh:
+            return read_dataset(path, label_column, transpose, fh)
+    fh.seek(0)
+    dataset = _numpy_dataset(fh, label_column, transpose)
+    if dataset is not None:
+        return dataset
+    header, rows, _ = read_csv_text(path, fh)
     return dataset_from_rows(header, rows, path, label_column, transpose)
+
+
+# numpy's parser skips these around a number as spaces; float() rejects them
+_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _numpy_dataset(fh, label_column, transpose):
+    """``read_dataset`` by one ``np.loadtxt`` pass over the data lines, or
+    None where the row-by-row path must decide.
+
+    Label cells and feature names are split off each line as text; every
+    other cell goes to numpy as float64, which gives ``float()``'s bits.
+    """
+    lines = data_lines(fh)
+    header = next(lines, "").split(",")
+    width = len(header)
+    names = []
+    label_cells = []
+    if not transpose:
+        if label_column not in header:
+            return None
+        at = header.index(label_column)
+
+    def numbers():
+        for line in lines:
+            if transpose:
+                name, comma, line = line.partition(",")
+                if not comma:
+                    raise ValueError("a row of one cell")
+                if name == label_column and not label_cells:
+                    label_cells.extend(line.split(","))
+                    continue
+                names.append(name)
+            elif 2 * at < width:
+                label_cells.append(line.split(",", at + 1)[at])
+            else:
+                label_cells.append(line.rsplit(",", width - at)[1])
+            if any(space in line for space in _NUMPY_ONLY_SPACES):
+                raise ValueError("a space numpy reads and float() does not")
+            yield line
+
+    try:
+        rows = numbers()
+        # loadtxt warns on input with no rows; leave that to the row path
+        first = next(rows, None)
+        if first is None:
+            return None
+        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                            comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, IndexError):
+        return None
+    n = len(label_cells)
+    if transpose:
+        feature_names = names
+        fits = matrix.shape == (len(names), n) and n == width - 1
+    else:
+        feature_names = header[:at] + header[at + 1:]
+        fits = matrix.shape == (n, width)
+    labels = np.array([cell == "1" for cell in label_cells], dtype=np.int8)
+    n1 = int(np.count_nonzero(labels))
+    if not (fits and set(label_cells) <= {"0", "1"} and 2 <= n1 <= n - 2
+            and len(set(feature_names)) == len(feature_names)
+            and np.isfinite(matrix).all()):
+        return None
+    if transpose:
+        return np.ascontiguousarray(matrix.T), labels, feature_names
+    return np.delete(matrix, at, axis=1), labels, feature_names
 
 
 def dataset_from_rows(header, rows, path, label_column: str = "label",
@@ -243,11 +355,20 @@ def table_from_ranked(path, header, rows) -> ScoreTable:
     return ScoreTable.from_arrays([rows[i][feature] for i in ok], *scores)
 
 
-def render_dataset(values, labels, feature_names, comments) -> str:
-    """The dataset CSV; ``repr`` is ``fmt_number`` on finite values."""
-    samples = zip(values.tolist(), labels.tolist())
-    rows = ([*map(repr, row), str(label)] for row, label in samples)
-    return render_csv([*feature_names, "label"], rows, comments)
+# cells per chunk of rendered text: a few MB of strings at a time
+_RENDER_CELLS = 1 << 16
+
+
+def render_dataset(values, labels, feature_names, comments):
+    """The dataset CSV as text chunks of about ``_RENDER_CELLS`` cells;
+    ``repr`` is ``fmt_number`` on finite values."""
+    yield "\n".join([*comments, ",".join([*feature_names, "label"])]) + "\n"
+    step = max(1, _RENDER_CELLS // (values.shape[1] + 1))
+    for start in range(0, values.shape[0], step):
+        samples = zip(values[start:start + step].tolist(),
+                      labels[start:start + step].tolist())
+        yield "\n".join([",".join([*map(repr, row), str(label)])
+                         for row, label in samples]) + "\n"
 
 
 # ---------------------------------------------------------------------------

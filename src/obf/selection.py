@@ -40,10 +40,12 @@ CRITERIA = {"mr": ("t", "lambdas"), "mnc": (), "cmnc": ("d",), "np": ("alpha",)}
 def rank_order(key, ok=True) -> np.ndarray:
     """Positions by descending key, ties by ascending position.
 
-    Positions with ``ok`` false sort as if their key were -inf, which puts
-    them after every scorable position with a larger key.
+    Positions with ``ok`` false come after every scorable position, even
+    one whose key is -inf, in ascending position.
     """
-    return np.argsort(-np.where(ok, key, -np.inf), kind="stable")
+    order = np.argsort(-np.where(ok, key, -np.inf), kind="stable")
+    last = ~np.broadcast_to(ok, np.shape(key))[order]
+    return np.concatenate((order[~last], order[last]))
 
 
 def threshold_cut(order: np.ndarray, pi: np.ndarray, t: float) -> np.ndarray:
@@ -168,14 +170,17 @@ class Rule:
             raise ValueError(f"alpha must be a number >= 0, got {p!r}")
 
     def cut(self, order, pi_star, log1m, ok) -> np.ndarray:
-        """The positions of ``order`` kept; ``ok`` marks the scorable ones.
+        """The positions of ``order`` kept, where ``order`` is
+        ``rank_order(key, ok)`` and ``ok`` marks the scorable positions.
 
         A top-D baseline is CMNC on its own key, with no probabilities.
         """
+        n_ok = int(np.count_nonzero(ok))
         if self.criterion == "cmnc":
-            return top_cut(order, self.param, int(np.count_nonzero(ok)))
+            return top_cut(order, self.param, n_ok)
         if self.criterion == "np":
-            return budget_cut(order, np.where(ok, np.exp(log1m), np.inf), self.param)
+            # rank_order puts the scorable positions first
+            return budget_cut(order[:n_ok], np.exp(log1m), self.param)
         loss = ZERO_ONE_LOSS if self.param is None else self.param
         return threshold_cut(order, pi_star, loss.threshold)
 

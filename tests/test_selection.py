@@ -177,6 +177,23 @@ class TestRule:
         with pytest.raises(ValueError, match="finite"):
             LossSpec(0.0, math.inf, 1.0, 0.0)
 
+    def test_cmnc_takes_a_neg_inf_key_before_an_unscorable_one(self):
+        lh = np.array([np.nan, -np.inf])
+        ok = np.array([False, True])
+        order = rank_order(lh, ok)
+        assert order.tolist() == [1, 0]
+        picked = Rule("cmnc", 1).cut(order, np.array([np.nan, 0.0]),
+                                     np.array([np.nan, 0.0]), ok)
+        assert picked.tolist() == [1]
+
+    def test_np_with_infinite_alpha_skips_unscorable(self):
+        lh = np.array([2.0, np.nan, 1.0])
+        ok = np.array([True, False, True])
+        pi = np.where(ok, logistic(lh), np.nan)
+        log1m = np.where(ok, np.log1p(-pi), np.nan)
+        picked = Rule("np", math.inf).cut(rank_order(lh, ok), pi, log1m, ok)
+        assert picked.tolist() == [0, 2]
+
 
 class TestRoc:
     def test_endpoints_and_example(self):
@@ -396,3 +413,17 @@ def test_rank_invariance_under_constant_shift():
         list(range(30)), shifted_lh, shifted_pi, np.log1p(-shifted_pi)
     )
     assert select_mnc(base).ranking == select_mnc(shifted).ranking
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.sampled_from([-math.inf, -1.0, 0.0, 2.5, math.inf]),
+                  min_size=1, max_size=12),
+    ok_bits=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_rank_order_puts_unscorable_last(keys, ok_bits):
+    ok = ok_bits[:len(keys)]
+    key = np.where(ok, keys, np.nan)
+    expected = sorted(range(len(keys)),
+                      key=lambda i: (not ok[i], -keys[i] if ok[i] else 0.0, i))
+    assert rank_order(key, np.array(ok)).tolist() == expected
