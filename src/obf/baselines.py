@@ -30,6 +30,8 @@ MI_SPACING = "MI_SPACING"
 WILKS_LAMBDA = "WILKS_LAMBDA"
 
 _SPACING_CLAMP_SCALE = 1e-12
+# cells sorted at a time by the spacing estimator
+_SORT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,25 @@ def wilks_array(ms: MatrixStats):
     return np.where(ok, value, np.nan), ok
 
 
-def _spacing_entropy(x: np.ndarray, clamp_eps):
-    """Order-1 spacing entropy of each column, and its count of clamped gaps.
+def _spacing_entropy(x: np.ndarray, rows: np.ndarray, clamp_eps):
+    """Order-1 spacing entropy of each column of ``x[rows]`` (``rows`` a
+    boolean mask), and its count of clamped gaps.
 
     H = mean over i of log((n + 1) (x_(i+1) - x_(i))) over the sorted
     column, with zero spacings clamped to ``clamp_eps`` before the log (ties
-    make the raw estimator undefined).
+    make the raw estimator undefined). Columns are sorted a block at a time,
+    so no sorted copy of the whole matrix is made.
     """
-    gaps = np.diff(np.sort(x, axis=0), axis=0)
+    n = int(np.count_nonzero(rows))
+    gaps = np.empty((n - 1, x.shape[1]))
+    step = max(1, _SORT_CELLS // n)
+    for a in range(0, x.shape[1], step):
+        block = x[rows, a:a + step]
+        block.sort(axis=0)
+        np.subtract(block[1:], block[:-1], out=gaps[:, a:a + step])
     tied = gaps == 0.0
     np.copyto(gaps, clamp_eps, where=tied)
-    gaps *= x.shape[0] + 1.0
+    gaps *= n + 1.0
     entropy = np.mean(np.log(gaps, out=gaps), axis=0)
     return entropy, np.count_nonzero(tied, axis=0)
 
@@ -176,9 +186,9 @@ def _mi_columns(values: np.ndarray, labels: np.ndarray):
     eps = _SPACING_CLAMP_SCALE * (
         np.max(values, axis=0) - np.min(values, axis=0) + 1.0
     )
-    h_all, c_all = _spacing_entropy(values, eps)
-    h0, c0 = _spacing_entropy(values[~mask1], eps)
-    h1, c1 = _spacing_entropy(values[mask1], eps)
+    h_all, c_all = _spacing_entropy(values, np.ones(n, dtype=bool), eps)
+    h0, c0 = _spacing_entropy(values, ~mask1, eps)
+    h1, c1 = _spacing_entropy(values, mask1, eps)
     mi = h_all - (n0 / n) * h0 - (n1 / n) * h1
     return mi, c_all + c0 + c1, (n - 1) + (n0 - 1) + (n1 - 1)
 

@@ -2,11 +2,15 @@
 
 All delimited output is comma-separated UTF-8 with LF line endings, '.'
 decimals, and '#'-prefixed comment lines. Numbers are written in their
-shortest round-trip decimal form, so re-parsing reproduces bit-identical
-values. Every output file starts with a provenance header (tool version,
-config digest, seed) and echoes the resolved configuration. Writes go
-through a temp file and rename, so readers never observe partial output;
-a dataset is rendered into it in chunks of rows, never as one string.
+shortest round-trip decimal form, byte for byte ``repr``'s, so re-parsing
+reproduces bit-identical values. Arrays of them are formatted in numpy: the
+digits come from Ryu's method in exact integer arithmetic, and each layout
+is one gather into a byte matrix; zero, subnormal and non-finite cells and
+magnitudes outside [2**-37, 2**54) go to ``repr`` one by one. Every output
+file starts with a provenance header (tool version, config digest, seed)
+and echoes the resolved configuration. Writes go through a temp file and
+rename, so readers never observe partial output; a dataset is rendered into
+it row by row, never as one string.
 
 A dataset file is opened once and read in one pass by numpy's C parser,
 with label cells and feature names split off as text. A file that parser
@@ -50,25 +54,257 @@ def fmt_number(x) -> str:
     return repr(x)
 
 
+# ---------------------------------------------------------------------------
+# repr's text of whole float64 arrays
+#
+# A double x with biased exponent e and mantissa m is a * 2**e2, where
+# a = 4 * (2**52 + m) and e2 = e - 1077. Ryu (Adams, PLDI 2018) takes
+# q = log10Pow5(-e2) - (-e2 > 1) and i = -e2 - q, so that x / 10**-i is
+# a * 5**i / 2**q, and finds the shortest decimal between the floors
+#   vm < vr < vp  of  (a - 2, a, a + 2) * 5**i / 2**q
+# (a - 1 in place of a - 2 for a power of two). Where q <= _SCALE, the
+# multiplier n = 5**i * 2**(_SCALE - q) is an integer, so the floors come
+# without error: vr = a * n >> _SCALE, from 31-bit limbs in int64. That
+# covers 2**-37 <= |x| < 2**54; zero, subnormal and non-finite cells and the
+# magnitudes outside go to repr one by one. Only integer operations make the
+# bytes, so they cannot depend on which SIMD kernels numpy picks.
+#
+# Ryu's trailing-zero flags mark the floors that drop nothing. vr drops
+# nothing where the bits below _SCALE are zero, and then removed digits of 5
+# and zeros are a tie, which rounds to even. A bound drops nothing only where
+# q <= 1 (|x| >= 2**50); there, scaled, it ends in 5, or in 0 after an odd
+# digit with vr a multiple of 10 inside the interval. So whether such a
+# bound is inside never changes the digits removed or the rounding, and its
+# flag is left out.
+# ---------------------------------------------------------------------------
+
+_LIMB = 31
+_LIMB_MASK = (1 << _LIMB) - 1
+_SCALE = 2 * _LIMB
+_LOW_MASK = (1 << _SCALE) - 1
+_E_MAX = 1076  # the largest biased exponent with e2 < 0, so |x| < 2**54
+
+
+def _pow5_table():
+    """Rows indexed by _E_MAX - e, down to the last e with q <= _SCALE: the
+    decimal exponent -i, the three limbs of n, and 2 * n split at _SCALE."""
+    rows = []
+    for e in range(_E_MAX, 0, -1):
+        e2 = e - 1077
+        q = ((-e2 * 732923) >> 20) - (e2 < -1)  # Ryu's log10Pow5
+        if q > _SCALE:
+            break
+        i = -e2 - q
+        n = 5 ** i << (_SCALE - q)
+        rows.append([-i, n & _LIMB_MASK, n >> _LIMB & _LIMB_MASK, n >> _SCALE,
+                     2 * n >> _SCALE, 2 * n & _LOW_MASK])
+    return np.array(rows, dtype=np.int64).T.copy()
+
+
+_E10, _N0, _N1, _N2, _TWICE_HIGH, _TWICE_LOW = _pow5_table()
+_E_MIN = _E_MAX - _E10.size + 1
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _bounds(bits, e):
+    """Ryu's vr, vp and vm, and whether vr is exact, for biased exponents e
+    in [_E_MIN, _E_MAX]."""
+    k = _E_MAX - e
+    m = bits & ((1 << 52) - 1)
+    vr, low = _times_pow5((m | (1 << 52)) << 2, k)
+    # a * n is vr * 2**_SCALE + low; adding or taking 2 * n moves vr by its
+    # high part, and by one more where the low parts carry or borrow
+    high, twice_low = _TWICE_HIGH[k], _TWICE_LOW[k]
+    vp = vr + high + ((low + twice_low) >> _SCALE)
+    vm = vr - high - (low < twice_low)
+    pow2 = np.flatnonzero(m == 0)
+    if pow2.size:
+        # a power of two has the nearer lower neighbour: (a - 1) * n
+        at = k[pow2]
+        n_low = _N0[at] | (_N1[at] << _LIMB)
+        vm[pow2] = vr[pow2] - _N2[at] - (low[pow2] < n_low)
+    return vr, vp, vm, low == 0
+
+
+def _times_pow5(a, k):
+    """(a * n >> _SCALE, a * n & _LOW_MASK) for the table's n at k."""
+    n0, n1, n2 = _N0[k], _N1[k], _N2[k]
+    lo = a & _LIMB_MASK
+    hi = a >> _LIMB
+    c = lo * n0
+    low = c & _LIMB_MASK
+    c >>= _LIMB
+    c += lo * n1
+    c += hi * n0
+    low |= (c & _LIMB_MASK) << _LIMB
+    c >>= _LIMB
+    c += lo * n2
+    c += hi * n1
+    c += (hi * n2) << _LIMB
+    return c, low
+
+
+def _shortest(bits, e):
+    """(digits, decimal exponent, digit count) of the shortest round-trip
+    decimal of each double, given its bits and biased exponent in
+    [_E_MIN, _E_MAX]; the closest such decimal where several are shortest."""
+    vr, vp, vm, exact = _bounds(bits, e)
+    # Ryu's loop removes r digits, r the largest s with a multiple of 10**s
+    # in (vm, vp], and rounds vr there: up where the removed digits are half
+    # or more (an exact half to even), or where vr met vm.
+    r = np.zeros_like(vr)
+    for s in range(1, 19):
+        vp //= 10
+        more = vp * 10 ** s > vm
+        if not more.any():
+            break
+        r += more
+    p10 = _POW10[r]
+    sig = vr // p10
+    rem = vr - sig * p10
+    half = 2 * rem - p10
+    even_tie = (half == 0) & exact & (sig % 2 == 0)
+    sig += (vr - rem <= vm) | ((half >= 0) & ~even_tie)
+    count = 17 + (vr >= 10 ** 17) + (vr >= 10 ** 18) - r
+    count += sig >= _POW10[count]
+    r += _E10[_E_MAX - e]
+    return sig, r, count
+
+
+# A cell's text is a gather from these columns: the 17 digit places
+# (right-aligned), then constants and the exponent.
+_MINUS, _POINT, _ZERO, _E, _XSIGN, _X1, _X0, _SEP, _NUL = range(17, 26)
+_CELL = 25  # the longest repr of a float64, 24 characters, and a separator
+
+
+def _template(neg, decpt, count):
+    """The columns of repr's text, then ',' and NUL padding, of a cell with
+    this sign, decimal point position and digit count."""
+    d = list(range(17 - count, 17))
+    cols = [_MINUS] if neg else []
+    if decpt <= -4 or decpt > 16:
+        cols += d[:1] + ([_POINT] + d[1:] if count > 1 else [])
+        cols += [_E, _XSIGN, _X1, _X0]
+    elif decpt <= 0:
+        cols += [_ZERO, _POINT] + [_ZERO] * -decpt + d
+    elif decpt < count:
+        cols += d[:decpt] + [_POINT] + d[decpt:]
+    else:
+        cols += d + [_ZERO] * (decpt - count) + [_POINT, _ZERO]
+    cols.append(_SEP)
+    return cols + [_NUL] * (_CELL - len(cols))
+
+
+# by sign, decimal point position clipped to -4..17, and digit count 1..17
+_LAYOUTS = (2, 22, 17)
+
+
+def _templates():
+    """The template of each layout, by its flat index in _LAYOUTS."""
+    out = np.empty((*_LAYOUTS, _CELL), dtype=np.uint8)
+    for neg, decpt, count in np.ndindex(*_LAYOUTS):
+        out[neg, decpt, count] = _template(neg, decpt - 4, count + 1)
+    return out.reshape(-1, _CELL)
+
+
+_TEMPLATES = _templates()
+
+
+def _fast_cells(bits, e):
+    """``_repr_cells`` of cells with biased exponents in [_E_MIN, _E_MAX]."""
+    sig, decpt, count = _shortest(bits, e)
+    decpt += count
+    layout = np.ravel_multi_index(
+        (bits < 0, np.clip(decpt, -4, 17) + 4, count - 1), _LAYOUTS
+    ).astype(np.int16)
+    # one constant column gather per layout, over the cells sorted by layout
+    order = np.argsort(layout, kind="stable")
+    src = _columns(sig[order], decpt[order] - 1)
+    layout = layout[order]
+    cells = np.empty((layout.size, _CELL), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(layout, prepend=-1)).tolist()
+    for a, b in zip(starts, [*starts[1:], layout.size]):
+        np.take(src[a:b], _TEMPLATES[layout[a]], axis=1, out=cells[a:b])
+    out = np.empty_like(cells)
+    out.view(f"V{_CELL}")[order] = cells.view(f"V{_CELL}")
+    return out
+
+
+def _columns(sig, x10):
+    """The columns that templates gather from, for cells with digits
+    ``sig`` (below 10**17) and decimal exponent ``x10`` in d.ddd form."""
+    src = np.empty((sig.size, _NUL + 1), dtype=np.uint8)
+    src[:, _MINUS:] = np.frombuffer(b"-.0e+00,\0", dtype=np.uint8)
+    # the first digit, then 8 pairs from the 4-digit quads of two halves
+    first = sig // 10 ** 16
+    src[:, 0] = first + 48
+    sig = sig - first * 10 ** 16
+    halves = np.empty((sig.size, 2), dtype=np.uint32)
+    halves[:, 0] = sig // 10 ** 8
+    halves[:, 1] = sig - halves[:, 0] * np.int64(10 ** 8)
+    quads = np.empty((sig.size, 4), dtype=np.uint32)
+    quads[:, 0::2] = halves // 10000
+    quads[:, 1::2] = halves - quads[:, 0::2] * 10000
+    pairs = np.empty((sig.size, 8), dtype=np.uint8)
+    pairs[:, 0::2] = quads // 100
+    pairs[:, 1::2] = quads - pairs[:, 0::2] * np.uint32(100)
+    tens = pairs // 10
+    src[:, 1:17:2] = tens + 48
+    src[:, 2:17:2] = pairs - tens * np.uint8(10) + np.uint8(48)
+    at = np.flatnonzero((x10 < -4) | (x10 > 15))
+    if at.size:
+        x10 = x10[at]
+        src[at[x10 < 0], _XSIGN] = ord("-")
+        x10 = np.abs(x10)
+        src[at, _X1] += (x10 // 10).astype(np.uint8)
+        src[at, _X0] += (x10 % 10).astype(np.uint8)
+    return src
+
+
+def _repr_cells(x):
+    """Row i: the ASCII of ``repr(x[i])``, then ',' and NUL padding, for a
+    1-D float64 array ``x``."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bits = x.view(np.int64)
+    e = (bits >> 52) & 0x7FF
+    fast = (e >= _E_MIN) & (e <= _E_MAX)
+    if fast.all():
+        return _fast_cells(bits, e)
+    cells = np.zeros((x.size, _CELL), dtype=np.uint8)
+    at = np.flatnonzero(fast)
+    if at.size:
+        cells[at] = _fast_cells(bits[at], e[at])
+    for i in np.flatnonzero(~fast).tolist():
+        text = repr(float(x[i])).encode("ascii") + b","
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
 def fmt_column(values) -> list:
     """``fmt_number`` of each element of a float array, in one pass."""
-    return [repr(v) if v == v else "" for v in np.asarray(values, np.float64).tolist()]
+    x = np.asarray(values, dtype=np.float64).ravel()
+    cells = _repr_cells(x)
+    blank = np.isnan(x)
+    cells[blank] = 0
+    cells[blank, 0] = ord(",")
+    return cells.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
 
 
 def atomic_write_text(path, text) -> None:
-    """Write ``text``, a string or an iterable of string chunks, to ``path``
-    through a temporary file and a rename.
+    """Write ``text`` to ``path`` through a temporary file and a rename.
 
-    Raises ``OutputError`` when the path cannot be written. No temporary
-    file is left behind, and the target is untouched, when the write fails
-    or the chunks raise.
+    ``text`` is a string, or an iterable of chunks that are strings or
+    ASCII bytes; strings are encoded as UTF-8. Raises ``OutputError`` when
+    the path cannot be written. No temporary file is left behind, and the
+    target is untouched, when the write fails or the chunks raise.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-obf-")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in (text,) if isinstance(text, str) else text:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             # mkstemp makes the file 0600 and os.replace keeps the mode, so
             # give it the mode open() would: 0666 less the umask
             umask = os.umask(0)
@@ -355,20 +591,22 @@ def table_from_ranked(path, header, rows) -> ScoreTable:
     return ScoreTable.from_arrays([rows[i][feature] for i in ok], *scores)
 
 
-# cells per chunk of rendered text: a few MB of strings at a time
-_RENDER_CELLS = 1 << 16
+# cells formatted at a time: a few MB of temporaries
+_RENDER_CELLS = 1 << 14
 
 
 def render_dataset(values, labels, feature_names, comments):
-    """The dataset CSV as text chunks of about ``_RENDER_CELLS`` cells;
-    ``repr`` is ``fmt_number`` on finite values."""
-    yield "\n".join([*comments, ",".join([*feature_names, "label"])]) + "\n"
+    """The dataset CSV as UTF-8 chunks: the header, then one chunk per row,
+    formatted ``_RENDER_CELLS`` cells at a time; a cell's text is
+    ``fmt_number``'s (``repr``) on finite values."""
+    header = "\n".join([*comments, ",".join([*feature_names, "label"])]) + "\n"
+    yield header.encode("utf-8")
     step = max(1, _RENDER_CELLS // (values.shape[1] + 1))
     for start in range(0, values.shape[0], step):
-        samples = zip(values[start:start + step].tolist(),
-                      labels[start:start + step].tolist())
-        yield "\n".join([",".join([*map(repr, row), str(label)])
-                         for row, label in samples]) + "\n"
+        block = values[start:start + step]
+        rows = _repr_cells(block.ravel()).reshape(len(block), -1)
+        for row, label in zip(rows, labels[start:start + step].tolist()):
+            yield row.tobytes().translate(None, b"\0") + b"%d\n" % label
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,37 @@ class Stream:
             if r < threshold:
                 return r % bound
 
+    def _take(self, count: int) -> np.ndarray:
+        """The next `count` words ``_next_raw`` would give, leaving the
+        buffer as it would."""
+        words = self._buffer[::-1]
+        if count > len(words):
+            extra = count - len(words)
+            fresh = self.raw(-(-extra // _RAW_BUFFER) * _RAW_BUFFER).tolist()
+            words += fresh[:extra]
+            self._buffer = fresh[extra:][::-1]
+        else:
+            self._buffer = words[count:][::-1]
+        return np.array(words[:count], dtype=np.uint64)
+
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
+        """Fisher-Yates permutation of range(n): ``integer_below(i + 1)``
+        for i = n - 1 down to 1, each swapped with i."""
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        words = self._take(bounds.size)
+        # integer_below rejects a word at or above 2**64 - (2**64 % bound)
+        rejected = np.flatnonzero(words > ~((np.uint64(0) - bounds) % bounds))
+        done = rejected[0] if rejected.size else bounds.size
+        # words from the first rejection on go back, for the loop
+        self._buffer += words[done:][::-1].tolist()
+        perm = list(range(n))
+        swaps = (words[:done] % bounds[:done]).tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+        for i in range(n - 1 - done, 0, -1):
             j = self.integer_below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
 
 def replicate_seed(base_seed: int, n: int, replicate: int) -> int:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from obf import baselines
 from obf.bayes import ClassStats, FeatureStats, compute_stats, matrix_stats
 from obf.baselines import (
     bd_array,
@@ -209,3 +210,13 @@ class TestVectorizedAgreement:
             for j in range(15):
                 ref = mi_spacing(self.values[:, j], self.labels)
                 assert mi[j] == pytest.approx(ref.value, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("sort_cells", [1, 26 * 4, 13 * 6])
+    def test_mi_bits_do_not_depend_on_the_sort_block(self, monkeypatch, sort_cells):
+        """Columns are sorted a block at a time; any block width, and a last
+        block narrower than the rest, gives the same bits."""
+        values = np.round(self.values, 1)  # ties, so some gaps are clamped
+        whole, _ = mi_array(values, self.labels)
+        monkeypatch.setattr(baselines, "_SORT_CELLS", sort_cells)
+        blocked, _ = mi_array(values, self.labels)
+        assert blocked.tobytes() == whole.tobytes()

@@ -1,7 +1,10 @@
 """The dataset file contract: number grammar, error positions, rendering."""
 
+import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -170,13 +173,114 @@ def test_render_dataset_matches_fmt_number_join():
          for i in range(2)],
         comments,
     )
-    assert "".join(render_dataset(values, labels, names, comments)) == expected
+    rendered = b"".join(render_dataset(values, labels, names, comments))
+    assert rendered.decode("utf-8") == expected
 
 
 def test_fmt_column_matches_fmt_number():
     values = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.7976931348623157e308,
                        np.nan, np.inf, -np.inf, 2.0, -1e-300])
     assert fmt_column(values) == [fmt_number(v) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# The array formatter against repr
+# ---------------------------------------------------------------------------
+
+
+def as_floats(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def powers_of_ten():
+    values = []
+    for k in range(-30, 31):
+        x = float(f"1e{k}")
+        values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return values
+
+
+RNG = np.random.default_rng(11)
+EDGES = {
+    "specials": [0.0, -0.0, 5e-324, -5e-324, as_floats([2**52 - 1])[0],
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, math.nan, math.inf, -math.inf],
+    "powers of two": [2.0 ** k for k in range(-1074, 1024)],
+    "powers of ten": powers_of_ten(),
+    "notation": [1e-4, 1e-5, 9.999999999999999e-05, 0.00010000000000000002,
+                 1e16, 9999999999999998.0, 1.0000000000000002e16, 2.0 ** 53,
+                 2.0 ** 53 + 2, 2.0 ** 54 - 4, 0.1 + 0.2, -123.456, 0.5],
+    "eighths": [k / 8 for k in range(-4000, 4001)],
+    "rounded": [round(x, int(d)) for x, d in
+                zip(RNG.normal(0, 50, 4000).tolist(), RNG.integers(0, 16, 4000))],
+    "exponents": (RNG.normal(size=4000)
+                  * 10.0 ** RNG.integers(-40, 40, 4000)).tolist(),
+}
+
+
+@pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
+def test_fmt_column_matches_repr_on_edges(values):
+    assert fmt_column(values) == [fmt_number(v) for v in values]
+    assert fmt_column(np.negative(values)) == [fmt_number(-v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(width=64), max_size=50))
+def test_fmt_column_matches_repr_on_any_float(values):
+    assert fmt_column(values) == [fmt_number(v) for v in values]
+
+
+# raw bit patterns, and patterns with an exponent the kernel takes
+PATTERNS = st.integers(0, 2**64 - 1) | st.builds(
+    lambda sign, e, m: sign << 63 | e << 52 | m, st.integers(0, 1),
+    st.integers(dataio._E_MIN, dataio._E_MAX), st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns=st.lists(PATTERNS, max_size=50))
+def test_fmt_column_matches_repr_on_any_bits(patterns):
+    values = as_floats(patterns)
+    assert fmt_column(values) == [fmt_number(v) for v in values.tolist()]
+
+
+def test_render_dataset_across_chunk_boundaries(monkeypatch):
+    # 3 cells and a label a row, 2 rows a chunk: the 5 rows end mid-chunk
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    values = np.array([[0.1, -2.5, 1e-5], [5e-324, 1e16, -0.0], [0.3, 7.0, 1e300],
+                       [1e-12, 123.456, 2.0 ** 54], [-1e22, 0.0001, 42.0]])
+    labels = np.array([0, 1, 1, 0, 1], dtype=np.int8)
+    names = ["x", "y", "z"]
+    expected = render_csv(
+        [*names, "label"],
+        [[*map(fmt_number, row), str(label)]
+         for row, label in zip(values.tolist(), labels.tolist())],
+        [],
+    )
+    assert b"".join(render_dataset(values, labels, names, [])).decode() == expected
+
+
+def test_render_matches_repr_under_reduced_simd_dispatch(tmp_path):
+    """The bytes come from integer operations only, so numpy's choice of SIMD
+    kernels cannot move a digit."""
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(100, 1000)) * 10.0 ** rng.integers(-14, 18, (100, 1000))
+    np.save(tmp_path / "values.npy", values)
+    script = (
+        "import sys, numpy as np\n"
+        "from obf.dataio import render_dataset\n"
+        "values = np.load(sys.argv[1])\n"
+        "labels = np.zeros(len(values), dtype=np.int8)\n"
+        "chunks = render_dataset(values, labels, ['f'] * values.shape[1], [])\n"
+        "open(sys.argv[2], 'wb').write(b''.join(chunks))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dataio.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "values.npy"),
+                    str(tmp_path / "out.csv")], env=env, check=True, timeout=120)
+    rows = [",".join([*map(repr, row), "0"]) for row in values.tolist()]
+    expected = ",".join(["f"] * 1000) + ",label\n" + "\n".join(rows) + "\n"
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

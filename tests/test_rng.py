@@ -1,5 +1,6 @@
 """Stream keying, batched words, uniforms and Box-Muller normals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -126,9 +127,52 @@ class TestPermutation:
         assert perm.tolist() == [5, 0, 2, 1, 3, 4, 6, 7, 9, 8]
         assert sorted(Stream(1, 0).permutation(500).tolist()) == list(range(500))
 
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "2697ef8416df2b57cbe77d9eeda1c151392f3d7d1117019a5a47d71de654a0a9"),
+        (2024, "d63773a60c49802e13f7209ec02e9eac643e03764099b945bbfd215715c11b36"),
+    ])
+    def test_full_size_pinned(self, seed, digest):
+        perm = Stream(seed, 0).permutation(20000)
+        assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rejected", [(), (0,), (3, 1500), (2998,)])
+    @pytest.mark.parametrize("drawn_before", [0, 1])
+    def test_rejected_words_continue_as_the_loop(self, rejected, drawn_before):
+        """A word integer_below rejects (2**64 - 1 is one at any bound but a
+        power of two) sends the batched shuffle to the loop at that word;
+        the result and the words left are the loop's."""
+        words = Stream(5, 0).raw(6 * 1024)
+        words[list(rejected)] = MASK64
+        batched, looped = fed(words), fed(words)
+        for stream in (batched, looped):
+            for _ in range(drawn_before):
+                stream.integer_below(9)
+        assert batched.permutation(3000).tolist() == loop_permutation(looped, 3000)
+        assert ([batched.integer_below(7) for _ in range(2000)]
+                == [looped.integer_below(7) for _ in range(2000)])
+        assert batched.raw(3).tolist() == looped.raw(3).tolist()
+
     def test_integer_below(self):
         s = Stream(3, 9)
         draws = [s.integer_below(3) for _ in range(300)]
         assert set(draws) == {0, 1, 2}
         with pytest.raises(ValueError):
             s.integer_below(0)
+
+
+def fed(words):
+    """A stream whose raw words are `words`, in order."""
+    stream = Stream(0, 0)
+    source = iter(words.tolist())
+    stream.raw = lambda count: np.array([next(source) for _ in range(count)],
+                                        dtype=np.uint64)
+    return stream
+
+
+def loop_permutation(stream, n):
+    """Fisher-Yates by one integer_below call per position."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.integer_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
