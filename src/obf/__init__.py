@@ -9,27 +9,14 @@ correlated synthetic-data generator, and a consistency-experiment harness.
 from ._version import __version__
 from .bayes import (
     ClassStats,
-    FeatureScore,
-    FeatureStats,
     NIWHyper,
-    PosteriorHyper,
     PriorSpec,
-    compute_stats,
     derive_logL,
     jp_prior,
-    log_h,
     log_h_table,
     log_marginal,
     matrix_stats,
     pp_prior,
-    update_hyper,
-)
-from .baselines import (
-    BaselineScore,
-    bhattacharyya,
-    mi_spacing,
-    welch_t,
-    wilks_lambda,
 )
 from .errors import (
     AllDegenerate,

@@ -6,100 +6,28 @@ while a smaller Wilks lambda does (its score is reported as log lambda and
 ranked by the negative).
 
 The ``*_array`` kernels score a whole matrix at once and flag unscorable
-features instead of raising, which is what a large screen needs. The scalar
-functions are one-feature views of those kernels: they take one feature's
-``FeatureStats`` (or column) and raise ``DegenerateData`` where the kernel
-flags the feature.
+features instead of raising, which is what a large screen needs; one feature
+is scored as a one-column matrix.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .bayes import FeatureStats, MatrixStats
+from .bayes import MatrixStats
 from .errors import DegenerateData
-from .special import student_t_two_sided_p
-
-WELCH_T = "WELCH_T"
-BHATTACHARYYA = "BHATTACHARYYA"
-MI_SPACING = "MI_SPACING"
-WILKS_LAMBDA = "WILKS_LAMBDA"
 
 _SPACING_CLAMP_SCALE = 1e-12
 # cells sorted at a time by the spacing estimator
 _SORT_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class BaselineScore:
-    method: str
-    value: float
-    pvalue: Optional[float] = None
-
-
-def _one_feature(stats: FeatureStats, method: str) -> MatrixStats:
-    if stats.class0.n < 2 or stats.class1.n < 2:
-        raise DegenerateData(f"{method} needs n >= 2 in each class")
-    return MatrixStats.of_feature(stats)
-
-
-def welch_t(stats: FeatureStats) -> BaselineScore:
-    """Welch's two-sample t statistic with Welch-Satterthwaite df.
-
-    Both-variances-zero cases follow fixed conventions instead of failing:
-    equal means report (0, p=1), unequal means report (+-inf, p=0).
-    """
-    ms = _one_feature(stats, "welch_t")
-    t, _ = welch_t_array(ms)
-    t, df = float(t[0]), float(welch_df_array(ms)[0])
-    return BaselineScore(WELCH_T, t, student_t_two_sided_p(t, df))
-
-
-def bhattacharyya(stats: FeatureStats) -> BaselineScore:
-    """Bhattacharyya distance between the two fitted Gaussians (``bd_array``)."""
-    bd, ok = bd_array(_one_feature(stats, "bhattacharyya"))
-    if not ok[0]:
-        raise DegenerateData("bhattacharyya needs positive variance in each class")
-    return BaselineScore(BHATTACHARYYA, float(bd[0]))
-
-
-def mi_spacing(column, labels) -> BaselineScore:
-    """Mutual information between a feature and the labels (``mi_array``).
-
-    Warns when more than 10% of spacings were tied and had to be clamped.
-    """
-    x = np.asarray(column, dtype=np.float64)
-    mi, clamped, gaps = _mi_columns(x[:, None], labels)
-    if clamped[0] > 0.1 * gaps:
-        warnings.warn(
-            f"mi_spacing clamped {clamped[0]}/{gaps} tied spacings",
-            stacklevel=2,
-        )
-    return BaselineScore(MI_SPACING, float(mi[0]))
-
-
-def wilks_lambda(stats: FeatureStats) -> BaselineScore:
-    """Log of the two-population variance-ratio statistic (``wilks_array``).
-
-    Smaller lambda is stronger evidence, so rankings use -log lambda.
-    """
-    value, ok = wilks_array(_one_feature(stats, "wilks_lambda"))
-    if not ok[0]:
-        raise DegenerateData("wilks_lambda needs positive biased variances")
-    return BaselineScore(WILKS_LAMBDA, float(value[0]))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized variants for whole-matrix screens. Each returns (values, ok);
-# features with ok=False are unscorable and carry NaN.
-# ---------------------------------------------------------------------------
+# Each kernel returns (values, ok); features with ok=False are unscorable and
+# carry NaN.
 
 
 def welch_t_array(ms: MatrixStats):
+    """Welch's two-sample t statistic of every feature."""
     se2 = ms.var0 / ms.n0 + ms.var1 / ms.n1
     diff = ms.mean0 - ms.mean1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,6 +42,7 @@ def welch_t_array(ms: MatrixStats):
 
 
 def welch_df_array(ms: MatrixStats):
+    """Welch-Satterthwaite degrees of freedom of every feature's t."""
     a = ms.var0 / ms.n0
     b = ms.var1 / ms.n1
     with np.errstate(divide="ignore", invalid="ignore"):

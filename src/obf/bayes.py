@@ -24,6 +24,11 @@ then a user-supplied constant, and the data must make every updated value
 strictly positive, otherwise the feature is reported as degenerate rather
 than silently scored.
 
+Scores come from one pair of array kernels, ``matrix_stats`` and
+``log_h_table``; one feature is scored as a one-column matrix.
+``log_marginal`` is the closed form of a single block, which the acceptance
+gate checks against quadrature.
+
 All operations are pure functions; results are independent of evaluation
 order and safe to invoke concurrently across features.
 """
@@ -101,38 +106,6 @@ class ClassStats:
             raise ValueError("var must be present iff n >= 2")
         if self.var is not None and not (self.var >= 0.0):
             raise ValueError("var must be >= 0")
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-class and pooled statistics for a single feature."""
-
-    class0: ClassStats
-    class1: ClassStats
-    pooled: ClassStats
-
-    def __post_init__(self):
-        if self.pooled.n != self.class0.n + self.class1.n:
-            raise ValueError("pooled.n must equal class0.n + class1.n")
-
-
-@dataclass(frozen=True)
-class PosteriorHyper:
-    """Updated hyperparameters after conditioning a block on data."""
-
-    s_star: float
-    kappa_star: float
-    m_star: float | None
-    nu_star: float
-
-
-@dataclass(frozen=True)
-class FeatureScore:
-    """Log-odds of "different" with its saturation-safe probability pair."""
-
-    log_h: float
-    pi_star: float
-    log1m_pi_star: float
 
 
 def log_block_norm_weight(block: NIWHyper) -> float:
@@ -233,13 +206,16 @@ def _starred(block: NIWHyper, n, mean, var):
     return s_star, kappa_star, nu_star
 
 
-def update_hyper(prior: NIWHyper, stats: ClassStats, context=None) -> PosteriorHyper:
-    """Condition one block on a sample's sufficient statistics.
+def log_marginal(prior: NIWHyper, stats: ClassStats, log_norm_weight=None) -> float:
+    """Log marginal likelihood of one block's sample.
 
-    s*, kappa* and nu* are those of ``log_h_table``; m* = (nu m + n mean) /
-    (nu + n), and an empty sample leaves the block as it is. Raises
+    log p(S) = log(A B) + lnG(kappa*/2) - (n-1)/2 log(2 pi)
+               - 1/2 log(nu*) - kappa*/2 log(s*/2).
+
+    ``log_norm_weight`` is log(A B); it is computed from the block when the
+    block is proper and must be supplied by the caller otherwise. Raises
     ``DegenerateData`` when any of s*, kappa*, nu* fails to be positive,
-    which happens for constant features under improper priors.
+    which happens for constant samples under improper priors.
     """
     n = stats.n
     # an absent mean (n = 0) or variance (n < 2) has a zero coefficient
@@ -248,39 +224,19 @@ def update_hyper(prior: NIWHyper, stats: ClassStats, context=None) -> PosteriorH
         stats.mean if n >= 1 else prior.m,
         stats.var if n >= 2 else 0.0,
     )
-    m_star = prior.m if n == 0 else (
-        (prior.nu * (prior.m or 0.0) + n * stats.mean) / nu_star
-    )
     if not (s_star > 0.0 and kappa_star > 0.0 and nu_star > 0.0):
         raise DegenerateData(
             f"updated hyperparameters must be positive "
-            f"(s*={s_star}, kappa*={kappa_star}, nu*={nu_star})",
-            context=context,
+            f"(s*={s_star}, kappa*={kappa_star}, nu*={nu_star})"
         )
-    return PosteriorHyper(
-        s_star=s_star, kappa_star=kappa_star, m_star=m_star, nu_star=nu_star
-    )
-
-
-def log_marginal(prior: NIWHyper, stats: ClassStats, log_norm_weight=None) -> float:
-    """Log marginal likelihood of one block's sample.
-
-    log p(S) = log(A B) + lnG(kappa*/2) - (n-1)/2 log(2 pi)
-               - 1/2 log(nu*) - kappa*/2 log(s*/2).
-
-    ``log_norm_weight`` is log(A B); it is computed from the block when the
-    block is proper and must be supplied by the caller otherwise.
-    """
-    post = update_hyper(prior, stats)
     if log_norm_weight is None:
         log_norm_weight = log_block_norm_weight(prior)
-    n = stats.n
     return (
         log_norm_weight
-        + log_gamma(0.5 * post.kappa_star)
+        + log_gamma(0.5 * kappa_star)
         - 0.5 * (n - 1) * _LOG_2PI
-        - 0.5 * math.log(post.nu_star)
-        - 0.5 * post.kappa_star * math.log(0.5 * post.s_star)
+        - 0.5 * math.log(nu_star)
+        - 0.5 * kappa_star * math.log(0.5 * s_star)
     )
 
 
@@ -300,51 +256,6 @@ def derive_logL(spec: PriorSpec) -> float:
     )
 
 
-def log_h(spec: PriorSpec, stats: FeatureStats, feature=None) -> FeatureScore:
-    """Posterior log-odds that a feature differs between the classes.
-
-    The one-feature view of ``log_h_table``, which gives the formula. A
-    feature the table would flag ``ok = False`` raises ``DegenerateData``
-    naming ``feature`` and the block (``class0``, ``class1`` or
-    ``pooled``) whose update failed. pi in {0, 1} is a documented degenerate
-    passthrough yielding -inf/+inf log-odds without touching the data.
-    """
-    if 0.0 < spec.pi < 1.0:
-        blocks = (
-            (spec.good0, stats.class0, "class0"),
-            (spec.good1, stats.class1, "class1"),
-            (spec.bad, stats.pooled, "pooled"),
-        )
-        for block, sample, context in blocks:
-            try:
-                update_hyper(block, sample, context=context)
-            except DegenerateData as err:
-                err.feature = feature
-                raise
-    lh, pi_star, log1m, _ = log_h_table(spec, MatrixStats.of_feature(stats))
-    return FeatureScore(
-        log_h=float(lh[0]), pi_star=float(pi_star[0]),
-        log1m_pi_star=float(log1m[0]),
-    )
-
-
-def compute_stats(column, labels) -> FeatureStats:
-    """Per-class and pooled statistics of one feature column.
-
-    The one-feature view of ``matrix_stats``: ``labels`` must contain only 0
-    and 1, with at least 2 points in each class.
-    """
-    x = np.asarray(column, dtype=np.float64)
-    if x.ndim != 1 or x.shape != np.shape(labels):
-        raise ValueError("column and labels must be 1-D and the same length")
-    ms = matrix_stats(x[:, None], labels)
-    return FeatureStats(
-        class0=ClassStats(ms.n0, float(ms.mean0[0]), float(ms.var0[0])),
-        class1=ClassStats(ms.n1, float(ms.mean1[0]), float(ms.var1[0])),
-        pooled=ClassStats(ms.n, float(ms.mean[0]), float(ms.var[0])),
-    )
-
-
 @dataclass(frozen=True)
 class MatrixStats:
     """Vectorized per-feature statistics for an n x F sample matrix."""
@@ -361,20 +272,6 @@ class MatrixStats:
     @property
     def n(self) -> int:
         return self.n0 + self.n1
-
-    @classmethod
-    def of_feature(cls, fs: FeatureStats) -> "MatrixStats":
-        """One-feature table of ``fs``.
-
-        A mean absent at n = 0 or a variance absent at n < 2 enters as 0,
-        where its coefficient in every update is 0.
-        """
-        c0, c1, cp = fs.class0, fs.class1, fs.pooled
-        mean0, mean1, mean, var0, var1, var = (
-            np.array([v or 0.0])
-            for v in (c0.mean, c1.mean, cp.mean, c0.var, c1.var, cp.var)
-        )
-        return cls(c0.n, c1.n, mean0, mean1, var0, var1, mean, var)
 
 
 def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

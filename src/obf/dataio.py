@@ -567,7 +567,8 @@ def _float_or_nan(cell) -> float:
 
 
 def table_from_ranked(path, header, rows) -> ScoreTable:
-    """Scores of the ``ok`` rows of a ranked file; each must carry numbers."""
+    """Scores of the ``ok`` rows of a ranked file; each must carry numbers
+    and an id no other ``ok`` row has."""
     needed = ("feature", "log_h", "pi_star", "log1m_pi_star", "status")
     missing = [name for name in needed if name not in header]
     if missing:
@@ -588,7 +589,16 @@ def table_from_ranked(path, header, rows) -> ScoreTable:
             f"{path}: ok row has no number in {needed[m + 1]}: {cells[m][k]!r}",
             row=ok[k] + 2, column=scored[m] + 1,
         )
-    return ScoreTable.from_arrays([rows[i][feature] for i in ok], *scores)
+    ids = [rows[i][feature] for i in ok]
+    if len(set(ids)) < len(ids):
+        first = {}
+        for k, fid in enumerate(ids):
+            if first.setdefault(fid, k) != k:
+                raise DatasetParseError(
+                    f"{path}: feature {fid!r} has a second ok row",
+                    row=ok[k] + 2, column=feature + 1,
+                )
+    return ScoreTable.from_arrays(ids, *scores)
 
 
 # cells formatted at a time: a few MB of temporaries

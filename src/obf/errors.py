@@ -9,22 +9,8 @@ class DegenerateData(ObfError):
     """Data makes a required posterior quantity non-positive.
 
     Typical cause: a constant feature under an improper prior, where the
-    updated scale collapses to zero. ``feature`` and ``context`` identify
-    the offending column and parameter block when known.
+    updated scale collapses to zero.
     """
-
-    def __init__(self, message, feature=None, context=None):
-        super().__init__(message)
-        self.feature = feature
-        self.context = context
-
-    def __str__(self):
-        parts = [super().__str__()]
-        if self.feature is not None:
-            parts.append(f"feature={self.feature}")
-        if self.context is not None:
-            parts.append(f"context={self.context}")
-        return " ".join(parts)
 
 
 class EmptyClass(ObfError):

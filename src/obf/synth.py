@@ -99,8 +99,8 @@ class SynthConfig:
         if len(self.group_sigmas) != g:
             raise ConfigInvalid("group_sigmas must have one (s0, s1) pair per group")
         for pair in self.group_sigmas:
-            if len(pair) != 2 or pair[0] <= 0.0 or pair[1] <= 0.0:
-                raise ConfigInvalid("group variance pairs must be positive")
+            if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
+                raise ConfigInvalid("group_sigmas variances must be finite and > 0")
         if self.n_subclasses < 1:
             raise ConfigInvalid("n_subclasses must be positive")
         if self.n_hetero and self.n_subclasses != 2:

@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 
 from obf.bayes import (
     ClassStats,
-    FeatureStats,
     NIWHyper,
     PriorSpec,
-    compute_stats,
+    _starred,
     derive_logL,
     jp_prior,
-    log_block_norm_weight,
-    log_h,
     log_h_table,
     log_marginal,
     matrix_stats,
     pp_prior,
-    update_hyper,
 )
 from obf.errors import DegenerateData, EmptyClass, ImproperPrior
 from obf.special import logistic
@@ -42,56 +38,47 @@ def stats_of(xs) -> ClassStats:
     return ClassStats(n=n, mean=mean, var=var)
 
 
-def feature_stats(x0, x1) -> FeatureStats:
-    return FeatureStats(
-        class0=stats_of(x0),
-        class1=stats_of(x1),
-        pooled=stats_of(list(x0) + list(x1)),
-    )
+def one_feature(x0, x1):
+    """``matrix_stats`` of one feature given as its two class samples."""
+    x = np.array(list(x0) + list(x1), dtype=np.float64)
+    labels = np.array([0] * len(x0) + [1] * len(x1))
+    return matrix_stats(x[:, None], labels)
+
+
+def score(spec, x0, x1):
+    """``log_h_table`` of one feature: (log_h, pi_star, log1m_pi_star)."""
+    lh, pi_star, log1m, ok = log_h_table(spec, one_feature(x0, x1))
+    assert ok[0]
+    return float(lh[0]), float(pi_star[0]), float(log1m[0])
 
 
 class TestUpdateHyper:
+    """The conjugate update of one block, ``_starred``: (s*, kappa*, nu*)."""
+
     def test_direct_substitution(self):
-        post = update_hyper(
-            NIWHyper(s=0.5, kappa=3.0, m=0.0, nu=0.1),
-            ClassStats(n=4, mean=1.0, var=0.25),
+        s_star, kappa_star, nu_star = _starred(
+            NIWHyper(s=0.5, kappa=3.0, m=0.0, nu=0.1), 4, 1.0, 0.25,
         )
-        assert post.kappa_star == 7.0
-        assert post.nu_star == pytest.approx(4.1)
-        assert post.m_star == pytest.approx(4.0 / 4.1)
-        assert post.s_star == pytest.approx(0.5 + 0.75 + (0.4 / 4.1))
+        assert kappa_star == 7.0
+        assert nu_star == pytest.approx(4.1)
+        assert s_star == pytest.approx(0.5 + 0.75 + (0.4 / 4.1))
 
     def test_empty_sample_identity(self):
         prior = NIWHyper(s=1.3, kappa=2.2, m=-0.7, nu=0.9)
-        post = update_hyper(prior, ClassStats(n=0))
-        assert (post.s_star, post.kappa_star, post.m_star, post.nu_star) == (
-            prior.s, prior.kappa, prior.m, prior.nu,
-        )
+        assert _starred(prior, 0, prior.m, 0.0) == (prior.s, prior.kappa, prior.nu)
+        assert log_marginal(prior, ClassStats(n=0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_jeffreys_preset(self):
-        post = update_hyper(
-            NIWHyper(s=0.0, kappa=0.0, m=None, nu=0.0),
-            ClassStats(n=5, mean=2.0, var=1.5),
-        )
-        assert (post.kappa_star, post.nu_star, post.m_star, post.s_star) == (
-            5.0, 5.0, 2.0, 6.0,
-        )
+        post = _starred(NIWHyper(s=0.0, kappa=0.0, m=None, nu=0.0), 5, 2.0, 1.5)
+        assert post == (6.0, 5.0, 5.0)
 
     def test_constant_feature_improper_is_degenerate(self):
         with pytest.raises(DegenerateData):
-            update_hyper(
+            log_marginal(
                 NIWHyper(s=0.0, kappa=0.0, m=None, nu=0.0),
                 ClassStats(n=5, mean=2.0, var=0.0),
+                log_norm_weight=0.0,
             )
-
-    def test_degenerate_reports_context(self):
-        with pytest.raises(DegenerateData) as err:
-            update_hyper(
-                NIWHyper(s=0.0, kappa=0.0, m=None, nu=0.0),
-                ClassStats(n=3, mean=1.0, var=0.0),
-                context="class1",
-            )
-        assert "class1" in str(err.value)
 
 
 class TestLogMarginal:
@@ -196,73 +183,70 @@ class TestPriorSpec:
 
 
 class TestLogH:
+    """``log_h_table`` on one feature, a one-column ``matrix_stats``."""
+
     def test_pi_zero_and_one_passthrough(self):
-        fs = feature_stats([0.0, 1.0, 0.5], [3.0, 4.0, 5.0])
+        ms = one_feature([0.0, 1.0, 0.5], [3.0, 4.0, 5.0])
         with pytest.warns(UserWarning):
             zero = jp_prior(pi=0.0)
-        score = log_h(zero, fs)
-        assert score.log_h == -math.inf and score.pi_star == 0.0
-        assert score.log1m_pi_star == 0.0
+        lh, pi_star, log1m, ok = log_h_table(zero, ms)
+        assert lh[0] == -math.inf and pi_star[0] == 0.0
+        assert log1m[0] == 0.0 and ok[0]
         with pytest.warns(UserWarning):
             one = jp_prior(pi=1.0)
-        score = log_h(one, fs)
-        assert score.log_h == math.inf and score.pi_star == 1.0
-        assert score.log1m_pi_star == -math.inf
+        lh, pi_star, log1m, ok = log_h_table(one, ms)
+        assert lh[0] == math.inf and pi_star[0] == 1.0
+        assert log1m[0] == -math.inf and ok[0]
 
     def test_pp_quadrature_composition(self):
         x0 = [0.0, 1.0, 0.5, 1.5]
         x1 = [10.0, 11.0, 10.5, 11.5]
-        spec = pp_prior(pi=0.5)
-        got = log_h(spec, feature_stats(x0, x1))
+        got, _, _ = score(pp_prior(pi=0.5), x0, x1)
         q0 = log_marginal_quadrature(0.5, 3.0, 0.0, 0.1, x0)
         q1 = log_marginal_quadrature(0.5, 3.0, 0.2, 0.1, x1)
         qp = log_marginal_quadrature(0.5, 3.0, 0.0, 0.1, x0 + x1)
         ref = q0 + q1 - qp  # prior odds vanish at pi = 1/2
-        assert got.log_h == pytest.approx(ref, rel=1e-6, abs=1e-6)
-        assert got.log_h > 10.0
+        assert got == pytest.approx(ref, rel=1e-6, abs=1e-6)
+        assert got > 10.0
 
     def test_jp_against_high_precision(self):
         x0 = [0.0, 1.0, 0.5, 1.5]
         x1 = [10.0, 11.0, 10.5, 11.5]
-        spec = jp_prior(pi=0.5, L=0.1)
-        got = log_h(spec, feature_stats(x0, x1))
+        got, _, _ = score(jp_prior(pi=0.5, L=0.1), x0, x1)
         ref = improper_log_h_ref(0.5, 0.1, x0, x1)
-        assert got.log_h == pytest.approx(ref, rel=1e-10)
-        assert got.log_h > 10.0
-
-    def test_degenerate_carries_feature_identity(self):
-        fs = feature_stats([1.0, 1.0, 1.0], [1.0, 1.0])
-        with pytest.raises(DegenerateData) as err:
-            log_h(jp_prior(), fs, feature="probe_17")
-        assert "probe_17" in str(err.value)
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert got > 10.0
 
     def test_score_link_consistency(self):
-        fs = feature_stats([0.1, 0.4, -0.3, 0.9], [2.0, 2.2, 1.7, 2.4])
-        score = log_h(pp_prior(), fs)
-        assert score.pi_star == logistic(score.log_h)
-        assert score.log1m_pi_star <= 0.0
+        lh, pi_star, log1m = score(
+            pp_prior(), [0.1, 0.4, -0.3, 0.9], [2.0, 2.2, 1.7, 2.4],
+        )
+        assert pi_star == logistic(lh)
+        assert log1m <= 0.0
 
     def test_prior_odds_separation(self):
-        fs = feature_stats([0.1, 0.4, -0.3, 0.9], [2.0, 2.2, 1.7, 2.4])
+        x0, x1 = [0.1, 0.4, -0.3, 0.9], [2.0, 2.2, 1.7, 2.4]
         a, b = 0.37, 0.004
-        ha = log_h(pp_prior(pi=a), fs).log_h
-        hb = log_h(pp_prior(pi=b), fs).log_h
+        ha, _, _ = score(pp_prior(pi=a), x0, x1)
+        hb, _, _ = score(pp_prior(pi=b), x0, x1)
         expect = (math.log(a / (1 - a))) - (math.log(b / (1 - b)))
         assert ha - hb == pytest.approx(expect, abs=1e-11)
 
 
 class TestComputeStats:
+    """``matrix_stats`` on one column."""
+
     def test_hand_example(self):
-        fs = compute_stats([1.0, 1.0, 2.0, 2.0], [0, 0, 1, 1])
-        assert fs.class0 == ClassStats(2, 1.0, 0.0)
-        assert fs.class1 == ClassStats(2, 2.0, 0.0)
-        assert fs.pooled.n == 4
-        assert fs.pooled.mean == pytest.approx(1.5)
-        assert fs.pooled.var == pytest.approx(1.0 / 3.0)
+        ms = matrix_stats(np.array([[1.0], [1.0], [2.0], [2.0]]), [0, 0, 1, 1])
+        assert (ms.n0, ms.mean0[0], ms.var0[0]) == (2, 1.0, 0.0)
+        assert (ms.n1, ms.mean1[0], ms.var1[0]) == (2, 2.0, 0.0)
+        assert ms.n == 4
+        assert ms.mean[0] == pytest.approx(1.5)
+        assert ms.var[0] == pytest.approx(1.0 / 3.0)
 
     def test_constant_column(self):
-        fs = compute_stats([7.0] * 6, [0, 0, 0, 1, 1, 1])
-        assert fs.class0.var == 0.0 and fs.class1.var == 0.0 and fs.pooled.var == 0.0
+        ms = matrix_stats(np.full((6, 1), 7.0), [0, 0, 0, 1, 1, 1])
+        assert ms.var0[0] == 0.0 and ms.var1[0] == 0.0 and ms.var[0] == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
@@ -270,18 +254,18 @@ class TestComputeStats:
         y = rng.integers(0, 2, size=50)
         y[:2] = 0
         y[-2:] = 1
-        a = compute_stats(x, y)
-        b = compute_stats(x + 1000.0, y)
-        assert b.pooled.var == pytest.approx(a.pooled.var, rel=1e-12)
-        assert b.class0.var == pytest.approx(a.class0.var, rel=1e-12)
+        a = matrix_stats(x[:, None], y)
+        b = matrix_stats(x[:, None] + 1000.0, y)
+        assert b.var[0] == pytest.approx(a.var[0], rel=1e-12)
+        assert b.var0[0] == pytest.approx(a.var0[0], rel=1e-12)
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
-            compute_stats([1.0, 2.0], [0, 0])
+            matrix_stats(np.array([[1.0], [2.0]]), [0, 0])
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
-            compute_stats([1.0, 2.0], [0, 2])
+            matrix_stats(np.array([[1.0], [2.0]]), [0, 2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,30 +281,34 @@ def test_pooling_identity(data, split):
     split = min(split, len(data) - 2)
     labels = np.zeros(len(data), dtype=int)
     labels[split:] = 1
-    fs = compute_stats(np.array(data), labels)
-    n0, n1, n = fs.class0.n, fs.class1.n, fs.pooled.n
-    lhs = fs.pooled.var * (n - 1)
+    ms = matrix_stats(np.array(data)[:, None], labels)
+    n0, n1, n = ms.n0, ms.n1, ms.n
+    lhs = ms.var[0] * (n - 1)
     rhs = (
-        (n0 - 1) * fs.class0.var
-        + (n1 - 1) * fs.class1.var
-        + (n0 * n1 / n) * (fs.class0.mean - fs.class1.mean) ** 2
+        (n0 - 1) * ms.var0[0]
+        + (n1 - 1) * ms.var1[0]
+        + (n0 * n1 / n) * (ms.mean0[0] - ms.mean1[0]) ** 2
     )
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-6)
 
 
 class TestVectorizedAgreement:
+    """Column independence: a kernel on the whole matrix equals, column by
+    column, the same kernel on that column alone. A lone contiguous column
+    is summed pairwise, so the bits may differ; the tolerances allow that."""
+
     def test_matrix_stats_matches_scalar(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 12))
         labels = np.array([0] * 14 + [1] * 16)
         ms = matrix_stats(values, labels)
         for j in range(12):
-            fs = compute_stats(values[:, j], labels)
-            assert ms.mean0[j] == pytest.approx(fs.class0.mean, rel=1e-14)
-            assert ms.var0[j] == pytest.approx(fs.class0.var, rel=1e-12)
-            assert ms.mean1[j] == pytest.approx(fs.class1.mean, rel=1e-14)
-            assert ms.var1[j] == pytest.approx(fs.class1.var, rel=1e-12)
-            assert ms.var[j] == pytest.approx(fs.pooled.var, rel=1e-12)
+            one = matrix_stats(values[:, [j]], labels)
+            assert ms.mean0[j] == pytest.approx(one.mean0[0], rel=1e-14)
+            assert ms.var0[j] == pytest.approx(one.var0[0], rel=1e-12)
+            assert ms.mean1[j] == pytest.approx(one.mean1[0], rel=1e-14)
+            assert ms.var1[j] == pytest.approx(one.var1[0], rel=1e-12)
+            assert ms.var[j] == pytest.approx(one.var[0], rel=1e-12)
 
     @pytest.mark.parametrize("preset", [pp_prior, jp_prior])
     def test_log_h_table_matches_scalar(self, preset):
@@ -333,9 +321,9 @@ class TestVectorizedAgreement:
         lh, pi_star, log1m, ok = log_h_table(spec, ms)
         assert ok.all()
         for j in range(20):
-            score = log_h(spec, compute_stats(values[:, j], labels))
-            assert lh[j] == pytest.approx(score.log_h, rel=1e-10, abs=1e-10)
-            assert pi_star[j] == pytest.approx(score.pi_star, rel=1e-12, abs=1e-15)
+            one = log_h_table(spec, matrix_stats(values[:, [j]], labels))
+            assert lh[j] == pytest.approx(one[0][0], rel=1e-10, abs=1e-10)
+            assert pi_star[j] == pytest.approx(one[1][0], rel=1e-12, abs=1e-15)
 
     def test_matrix_stats_rejects_other_labels(self):
         with pytest.raises(ValueError):

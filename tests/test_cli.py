@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from obf.bayes import jp_prior, pp_prior
+from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.cli import main
 from obf.dataio import load_config, read_csv_text
 
@@ -99,10 +100,10 @@ class TestRank:
         out = str(tmp_path / "ranked.csv")
         main(["rank", data, "--config", cfg, "--out", out])
         header, rows, _ = read_csv_text(out)
-        from obf.bayes import compute_stats, log_h, pp_prior
-        x = [0.0, 1.0, 0.5, 1.5, 10.0, 11.0, 10.5, 11.5]
-        score = log_h(pp_prior(), compute_stats(x, [0, 0, 0, 0, 1, 1, 1, 1]))
-        assert float(rows[0][header.index("log_h")]) == score.log_h
+        x = np.array([[0.0], [1.0], [0.5], [1.5], [10.0], [11.0], [10.5], [11.5]])
+        ms = matrix_stats(x, [0, 0, 0, 0, 1, 1, 1, 1])
+        lh, _, _, _ = log_h_table(pp_prior(), ms)
+        assert float(rows[0][header.index("log_h")]) == lh[0]
 
     def test_transpose_and_label_column(self, tmp_path):
         text = (
@@ -350,6 +351,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nonexistent.csv" in err
 
+    @pytest.mark.parametrize("command", ["select", "roc"])
+    def test_duplicate_ranked_feature_exit_2(self, tmp_path, capsys, command):
+        ranked = write(
+            tmp_path / "ranked.csv",
+            "feature,log_h,pi_star,log1m_pi_star,rank,status\n"
+            "a,2.0,0.88,-2.1,1,ok\n"
+            "b,1.0,0.73,-1.3,2,ok\n"
+            "a,0.5,0.62,-0.97,3,ok\n",
+        )
+        cfg = write(tmp_path / "sel.ini", "[selection]\ncriterion = mnc\n")
+        out = tmp_path / "out"
+        assert main([command, ranked, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ranked.csv" in err
+        assert "'a'" in err and "row 4" in err and "column 1" in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_undecodable_input_exit_2(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes(b"a,b,label\n1.0,\xff2.0,0\n")
@@ -577,6 +595,16 @@ class TestRejectedParameters:
         assert f"method {method!r}" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigmas", ["0.16:nan,0.09:0.25", "0.16:inf,0.09:0.25"])
+    def test_synth_group_sigmas(self, tmp_path, capsys, sigmas):
+        cfg = write(tmp_path / "syn.ini",
+                    f"[synth]\npreset = desk\ngroup_sigmas = {sigmas}\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", cfg, "--n", "20",
+                     "--out", str(out)]) == 3
+        assert "group_sigmas" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim*"))
+
     @pytest.mark.parametrize("grid, message", [
         ("20:200:0", "n_grid step must be > 0"),
         ("20:200:-20", "n_grid step must be > 0"),
@@ -775,3 +803,19 @@ def test_ranked_columns_besides_welch_p_keep_their_bytes(golden):
         for name, data in ranked.items()
     }
     assert digests == GOLDEN_RANKED_WITHOUT_WELCH_P
+
+
+def test_benchmark_tracer_wraps_and_restores_cli_names():
+    """The benchmark's tracer (perfbench/tracing.py) wraps module attributes
+    of obf.cli and obf.harness by name; dropping one breaks the traced run."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import obf.cli
+
+    before = {name: getattr(obf.cli, name) for name in tracing.CLI_SPANS}
+    with tracing.installed(tracing.Tracer()):
+        assert obf.cli.read_dataset is not before["read_dataset"]
+        assert obf.cli.read_dataset.__wrapped__ is before["read_dataset"]
+    assert {name: getattr(obf.cli, name) for name in tracing.CLI_SPANS} == before
