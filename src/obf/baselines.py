@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bayes import MatrixStats
+from .bayes import MatrixStats, column_blocks
 from .errors import DegenerateData
 
 _SPACING_CLAMP_SCALE = 1e-12
-# cells sorted at a time by the spacing estimator
+# cells of a column block of the spacing estimator
 _SORT_CELLS = 1 << 16
 
 
@@ -82,21 +82,23 @@ def _spacing_entropy(x: np.ndarray, rows: np.ndarray, clamp_eps):
 
     H = mean over i of log((n + 1) (x_(i+1) - x_(i))) over the sorted
     column, with zero spacings clamped to ``clamp_eps`` before the log (ties
-    make the raw estimator undefined). Columns are sorted a block at a time,
-    so no sorted copy of the whole matrix is made.
+    make the raw estimator undefined). Columns are taken a block at a time
+    (``column_blocks``), so no sorted copy or gap matrix of the whole
+    matrix's size is made.
     """
     n = int(np.count_nonzero(rows))
-    gaps = np.empty((n - 1, x.shape[1]))
-    step = max(1, _SORT_CELLS // n)
-    for a in range(0, x.shape[1], step):
-        block = x[rows, a:a + step]
+    entropy = np.empty(x.shape[1])
+    clamped = np.empty(x.shape[1], dtype=np.intp)
+    for a, b in column_blocks((n, x.shape[1]), _SORT_CELLS):
+        block = x[rows, a:b]
         block.sort(axis=0)
-        np.subtract(block[1:], block[:-1], out=gaps[:, a:a + step])
-    tied = gaps == 0.0
-    np.copyto(gaps, clamp_eps, where=tied)
-    gaps *= n + 1.0
-    entropy = np.mean(np.log(gaps, out=gaps), axis=0)
-    return entropy, np.count_nonzero(tied, axis=0)
+        gaps = block[1:] - block[:-1]
+        tied = gaps == 0.0
+        np.copyto(gaps, clamp_eps[a:b], where=tied)
+        gaps *= n + 1.0
+        entropy[a:b] = np.mean(np.log(gaps, out=gaps), axis=0)
+        clamped[a:b] = np.count_nonzero(tied, axis=0)
+    return entropy, clamped
 
 
 def _mi_columns(values: np.ndarray, labels: np.ndarray):

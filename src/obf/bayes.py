@@ -274,6 +274,27 @@ class MatrixStats:
         return self.n0 + self.n1
 
 
+# cells of a column block in matrix_stats: its temporaries, not the matrix's
+# size, set how much memory the moments take
+_BLOCK_CELLS = 1 << 16
+
+
+def column_blocks(shape, cells):
+    """(start, stop) of blocks of whole columns, of about ``cells`` cells, of
+    an n x F matrix.
+
+    A block has two columns or more, unless the matrix has one. numpy sums a
+    lone contiguous column pairwise but a wider block down its rows in order,
+    as it does the whole matrix, so column sums of the blocks are those of
+    the whole matrix, bit for bit.
+    """
+    n, f = shape
+    edges = [*range(0, f, max(2, cells // max(n, 1))), f]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
+
+
 def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     mean = np.sum(x, axis=0) / n
@@ -286,7 +307,8 @@ def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_stats(values: np.ndarray, labels: np.ndarray) -> MatrixStats:
     """Class/pooled moments of every column; needs >= 2 points per class.
 
-    ``labels`` must contain only 0 and 1.
+    ``labels`` must contain only 0 and 1. Columns are taken a block at a
+    time (``column_blocks``), so no temporary has the matrix's size.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
@@ -297,9 +319,14 @@ def matrix_stats(values: np.ndarray, labels: np.ndarray) -> MatrixStats:
     n0 = int(labels.size - n1)
     if n0 < 2 or n1 < 2:
         raise EmptyClass("each class needs at least 2 points")
-    mean0, var0 = _column_moments(values[~mask1])
-    mean1, var1 = _column_moments(values[mask1])
-    mean, var = _column_moments(values)
+    rows0, rows1 = np.flatnonzero(~mask1), np.flatnonzero(mask1)
+    moments = np.empty((6, values.shape[1]))
+    for a, b in column_blocks(values.shape, _BLOCK_CELLS):
+        block = values[:, a:b]
+        moments[0:2, a:b] = _column_moments(block.take(rows0, axis=0))
+        moments[2:4, a:b] = _column_moments(block.take(rows1, axis=0))
+        moments[4:6, a:b] = _column_moments(block)
+    mean0, var0, mean1, var1, mean, var = moments
     return MatrixStats(
         n0=n0, n1=n1, mean0=mean0, mean1=mean1,
         var0=var0, var1=var1, mean=mean, var=var,

@@ -12,11 +12,15 @@ and echoes the resolved configuration. Writes go through a temp file and
 rename, so readers never observe partial output; a dataset is rendered into
 it row by row, never as one string.
 
-A dataset file is opened once and read in one pass by numpy's C parser,
-with label cells and feature names split off as text. A file that parser
+A dataset file is opened once. Its data lines are cut into line-aligned
+byte ranges, up to one per usable CPU, and each range is one pass of numpy's
+C parser (``obf.segments``): the first in this process, the others in
+forked workers that send their numbers through a pipe straight into place.
+Label cells and feature names are split off as text. A file that parser
 cannot vouch for is read again, from the same handle, by the row-by-row
 path, which follows ``float()``'s grammar and names the row and column of
-each error. Reading peaks at about twice the matrix's bytes.
+each error. The reading process peaks at the matrix plus its own range's
+share of it.
 
 Run configuration is flat INI: sections [prior], [selection], [synth],
 [plan]; unknown sections or keys are errors, not warnings.
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import math
 import os
 import tempfile
@@ -40,6 +43,7 @@ from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
 from .errors import AllDegenerate, ConfigInvalid, DatasetParseError, OutputError
 from .harness import parse_method
+from .segments import numpy_dataset
 from .selection import CRITERIA, Rule, ScoreTable, parse_rule
 from .synth import SynthConfig, desk_config, full_config
 
@@ -437,88 +441,21 @@ def read_dataset(path, label_column: str = "label", transpose: bool = False,
     and the row named ``label_column`` holds the class labels. ``fh``, when
     given, is ``path`` already opened by ``open_text``.
 
-    numpy's parser reads the file in one pass. A file it cannot vouch for
-    (a cell outside its number grammar, a label that is not exactly 0 or 1,
-    a failed check) is read again from the same handle by the row-by-row
-    path, which takes ``float()``'s grammar and names each error's row and
-    column.
+    numpy's parser reads the data lines in line-aligned byte ranges, up to
+    one per usable CPU: the first in this process, each other in a forked
+    worker (see ``obf.segments``). A file it cannot vouch for (a cell
+    outside its number grammar, a label that is not exactly 0 or 1, a failed
+    check) is read again from the same handle by the row-by-row path, which
+    takes ``float()``'s grammar and names each error's row and column.
     """
     if fh is None:
         with open_text(path) as fh:
             return read_dataset(path, label_column, transpose, fh)
-    fh.seek(0)
-    dataset = _numpy_dataset(fh, label_column, transpose)
+    dataset = numpy_dataset(fh.fileno(), label_column, transpose)
     if dataset is not None:
         return dataset
     header, rows, _ = read_csv_text(path, fh)
     return dataset_from_rows(header, rows, path, label_column, transpose)
-
-
-# numpy's parser skips these around a number as spaces; float() rejects them
-_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _numpy_dataset(fh, label_column, transpose):
-    """``read_dataset`` by one ``np.loadtxt`` pass over the data lines, or
-    None where the row-by-row path must decide.
-
-    Label cells and feature names are split off each line as text; every
-    other cell goes to numpy as float64, which gives ``float()``'s bits.
-    """
-    lines = data_lines(fh)
-    header = next(lines, "").split(",")
-    width = len(header)
-    names = []
-    label_cells = []
-    if not transpose:
-        if label_column not in header:
-            return None
-        at = header.index(label_column)
-
-    def numbers():
-        for line in lines:
-            if transpose:
-                name, comma, line = line.partition(",")
-                if not comma:
-                    raise ValueError("a row of one cell")
-                if name == label_column and not label_cells:
-                    label_cells.extend(line.split(","))
-                    continue
-                names.append(name)
-            elif 2 * at < width:
-                label_cells.append(line.split(",", at + 1)[at])
-            else:
-                label_cells.append(line.rsplit(",", width - at)[1])
-            if any(space in line for space in _NUMPY_ONLY_SPACES):
-                raise ValueError("a space numpy reads and float() does not")
-            yield line
-
-    try:
-        rows = numbers()
-        # loadtxt warns on input with no rows; leave that to the row path
-        first = next(rows, None)
-        if first is None:
-            return None
-        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                            comments=None, dtype=np.float64, ndmin=2)
-    except (ValueError, IndexError):
-        return None
-    n = len(label_cells)
-    if transpose:
-        feature_names = names
-        fits = matrix.shape == (len(names), n) and n == width - 1
-    else:
-        feature_names = header[:at] + header[at + 1:]
-        fits = matrix.shape == (n, width)
-    labels = np.array([cell == "1" for cell in label_cells], dtype=np.int8)
-    n1 = int(np.count_nonzero(labels))
-    if not (fits and set(label_cells) <= {"0", "1"} and 2 <= n1 <= n - 2
-            and len(set(feature_names)) == len(feature_names)
-            and np.isfinite(matrix).all()):
-        return None
-    if transpose:
-        return np.ascontiguousarray(matrix.T), labels, feature_names
-    return np.delete(matrix, at, axis=1), labels, feature_names
 
 
 def dataset_from_rows(header, rows, path, label_column: str = "label",
@@ -530,12 +467,13 @@ def dataset_from_rows(header, rows, path, label_column: str = "label",
     """
     # feature names run along the header, or down the file's first column
     names = [row[0] for row in rows] if transpose else header
+    line = "row" if transpose else "column"
     if label_column not in names:
-        raise DatasetParseError(f"{path}: no {label_column!r} column")
+        raise DatasetParseError(f"{path}: no {label_column!r} {line}")
+    if len(set(names)) != len(names):
+        raise _duplicate_name(path, names, label_column, line)
     at = names.index(label_column)
     feature_names = names[:at] + names[at + 1:]
-    if len(set(feature_names)) != len(feature_names):
-        raise DatasetParseError(f"{path}: duplicate feature names")
     n = len(header) - 1 if transpose else len(rows)
     values = np.empty((n, len(feature_names)), dtype=np.float64)
     if transpose:
@@ -557,6 +495,23 @@ def dataset_from_rows(header, rows, path, label_column: str = "label",
     if n1 < 2 or n - n1 < 2:
         raise DatasetParseError(f"{path}: need at least 2 samples per class")
     return values, labels, feature_names
+
+
+def _duplicate_name(path, names, label_column, line):
+    """The parse error of the first name in ``names`` seen a second time,
+    at the file row (features in rows) or column of that second time."""
+    first = {}
+    for k, name in enumerate(names):
+        seen = first.setdefault(name, k)
+        if seen != k:
+            # rows count the header as row 1
+            before, at = (seen + 2, k + 2) if line == "row" else (seen + 1, k + 1)
+            if name == label_column:
+                problem = f"{name!r} names both {line} {before} and {line} {at}"
+            else:
+                problem = f"duplicate feature name {name!r}, first at {line} {before}"
+            return DatasetParseError(f"{path}: {problem}", **{line: at})
+    raise AssertionError(f"{path}: no name is repeated")
 
 
 def _float_or_nan(cell) -> float:

@@ -1,4 +1,20 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped: the
+    benchmark counts a leftover process as a failed run."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid == 0:
+        pytest.fail("a child process is still running after the test")
+    pytest.fail(f"child process {pid} exited (status {status}) but was never reaped")

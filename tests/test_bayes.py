@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obf import bayes
 from obf.bayes import (
     ClassStats,
     NIWHyper,
@@ -324,6 +325,33 @@ class TestVectorizedAgreement:
             one = log_h_table(spec, matrix_stats(values[:, [j]], labels))
             assert lh[j] == pytest.approx(one[0][0], rel=1e-10, abs=1e-10)
             assert pi_star[j] == pytest.approx(one[1][0], rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("cells", [1, 41 * 7, None])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "column"])
+    def test_matrix_stats_bits_match_plain_numpy(self, monkeypatch, layout, cells):
+        """The moments of a copy per class and of ``values - mean``, as
+        plain numpy takes them of the whole matrix, bit for bit, whatever
+        the input's layout and the column blocks: of two columns (the last
+        of three), of seven, or one block."""
+        if cells is not None:
+            monkeypatch.setattr(bayes, "_BLOCK_CELLS", cells)
+        def moments(x):
+            mean = np.sum(x, axis=0) / x.shape[0]
+            d = x - mean
+            ss = np.sum(d * d, axis=0) - np.sum(d, axis=0) ** 2 / x.shape[0]
+            return mean, np.maximum(ss, 0.0) / (x.shape[0] - 1)
+
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(41, 60)) * 1e3 + 7.0
+        values = {"C": values, "F": np.asfortranarray(values),
+                  "strided": values[:, ::3], "column": values[:, 5:6]}[layout]
+        labels = rng.permutation([0] * 19 + [1] * 22)
+        ms = matrix_stats(values, labels)
+        expected = (*moments(values[labels == 0]), *moments(values[labels == 1]),
+                    *moments(values))
+        got = (ms.mean0, ms.var0, ms.mean1, ms.var1, ms.mean, ms.var)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
     def test_matrix_stats_rejects_other_labels(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from obf import segments
 from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.cli import main
 from obf.dataio import load_config, read_csv_text
@@ -338,6 +339,46 @@ class TestInputReads:
         assert main([command, path, "--config", cfg, "--out", out]) == 0
         assert len(opened) == 1
 
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["samples-in-rows", "features-in-rows"])
+    def test_parse_in_workers_writes_the_same_bytes(self, tmp_path, monkeypatch,
+                                                    capsys, transpose):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(40, 6)) + np.arange(40)[:, None] % 2
+        names = [f"g{j}" for j in range(6)]
+        if transpose:
+            lines = ["id," + ",".join(f"s{i}" for i in range(40)),
+                     "label," + ",".join(str(i % 2) for i in range(40))]
+            lines += [",".join([n, *map(repr, col)])
+                      for n, col in zip(names, values.T.tolist())]
+        else:
+            lines = [",".join([*names, "label"])]
+            lines += [",".join([*map(repr, row), str(i % 2)])
+                      for i, row in enumerate(values.tolist())]
+        data = write(tmp_path / "data.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "cfg.ini",
+                    JP_PRIOR + "\n[selection]\ncriterion = mnc\n")
+
+        def outputs(tag):
+            got = []
+            for command in ("rank", "select"):
+                out = tmp_path / f"{command}-{tag}.csv"
+                argv = [command, data, "--config", cfg, "--out", str(out)]
+                assert main(argv + ["--transpose"] * transpose) == 0
+                got += [out.read_bytes(), capsys.readouterr().out]
+            return got
+
+        one = outputs("one")
+        forks = []
+        real_fork = segments._fork
+        monkeypatch.setattr(segments, "_fork",
+                            lambda work: forks.append(1) or real_fork(work))
+        monkeypatch.setattr(segments, "_SEGMENT_BYTES", 1 << 10)
+        monkeypatch.setattr(segments, "_usable_cpus", lambda: 4)
+        assert outputs("many") == one
+        # two commands, each reading 3-4 ranges
+        assert len(forks) >= 4
+
 
 class TestErrors:
     @pytest.mark.parametrize("command", ["rank", "select", "roc"])
@@ -367,6 +408,35 @@ class TestErrors:
         assert err.startswith("error:") and "ranked.csv" in err
         assert "'a'" in err and "row 4" in err and "column 1" in err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["samples-in-rows", "features-in-rows"])
+    @pytest.mark.parametrize("name", ["a", "label"])
+    def test_repeated_name_exit_2(self, tmp_path, capsys, transpose, name):
+        # names a, b, <name>, label; a second 'label' used to be scored
+        names = ["a", "b", name, "label"]
+        columns = [[0.5, 1.5, 0.25, 2.5], [1.0, 2.0, 3.0, 4.0],
+                   [0, 1, 0, 1], [0, 0, 1, 1]]
+        if transpose:
+            lines = ["id,s1,s2,s3,s4"]
+            lines += [",".join([n, *map(str, col)]) for n, col in zip(names, columns)]
+            line, first, second = "row", names.index(name) + 2, 4
+        else:
+            lines = [",".join(names)]
+            lines += [",".join(map(str, row)) for row in zip(*columns)]
+            line, first, second = "column", names.index(name) + 1, 3
+        if name == "label":
+            first, second = second, second + 1
+        data = write(tmp_path / "dup.csv", "\n".join(lines) + "\n")
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR)
+        out = tmp_path / "o.csv"
+        code = main(["rank", data, "--config", cfg, "--out", str(out)]
+                    + ["--transpose"] * transpose)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{name}'" in err
+        assert f"{line} {first}" in err and f"({line} {second})" in err
+        assert not out.exists()
 
     def test_undecodable_input_exit_2(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from obf import dataio
+from obf import dataio, segments
 from obf.cli import main
 from obf.dataio import (
     atomic_write_text, dataset_from_rows, fmt_column, fmt_number,
@@ -138,7 +139,8 @@ def test_ragged_row(tmp_path, transpose):
 def test_missing_label_column(tmp_path, transpose):
     text = dataset_text(transpose, label_name="class")
     err = parse_error(tmp_path, text, transpose)
-    assert "no 'label' column" in str(err)
+    line = "row" if transpose else "column"
+    assert f"no 'label' {line}" in str(err)
     assert (err.row, err.column) == (None, None)
 
 
@@ -146,8 +148,26 @@ def test_missing_label_column(tmp_path, transpose):
 def test_duplicate_feature_names(tmp_path, transpose):
     text = dataset_text(transpose, names=["a", "b", "a"])
     err = parse_error(tmp_path, text, transpose)
-    assert "duplicate feature names" in str(err)
-    assert (err.row, err.column) == (None, None)
+    # the second 'a' is feature 2: file row 4, or file column 3
+    if transpose:
+        assert "duplicate feature name 'a', first at row 2" in str(err)
+        assert (err.row, err.column) == (4, None)
+    else:
+        assert "duplicate feature name 'a', first at column 1" in str(err)
+        assert (err.row, err.column) == (None, 3)
+
+
+@ORIENTATIONS
+def test_second_label_name_is_rejected(tmp_path, transpose):
+    # a feature named like the label column is not scored as a feature
+    text = dataset_text(transpose, names=["a", "label", "c"])
+    err = parse_error(tmp_path, text, transpose)
+    if transpose:
+        assert "'label' names both row 3 and row 5" in str(err)
+        assert (err.row, err.column) == (5, None)
+    else:
+        assert "'label' names both column 2 and column 4" in str(err)
+        assert (err.row, err.column) == (None, 4)
 
 
 @ORIENTATIONS
@@ -425,6 +445,197 @@ def test_late_undecodable_byte_exits_2(tmp_path, capsys, transpose, command):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "late.csv" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Line-aligned ranges in forked workers against one range
+# ---------------------------------------------------------------------------
+
+
+def many_ranges(monkeypatch, cpus=4, segment=64):
+    """Cut even a small file into up to ``cpus`` ranges; returns a list that
+    gets one entry per forked worker."""
+    monkeypatch.setattr(segments, "_SEGMENT_BYTES", segment)
+    monkeypatch.setattr(segments, "_usable_cpus", lambda: cpus)
+    forks = []
+    real_fork = segments._fork
+    monkeypatch.setattr(segments, "_fork",
+                        lambda work: forks.append(1) or real_fork(work))
+    return forks
+
+
+def no_row_path(*args, **kwargs):
+    raise AssertionError("the row-by-row path was taken")
+
+
+def no_fork():
+    raise AssertionError("a file of one range forked a worker")
+
+
+@st.composite
+def dataset_lines(draw, transpose):
+    """The bytes of a valid dataset file: the label column (or row) at any
+    place, comment and blank lines anywhere, each line ending in LF or
+    CRLF, the last one maybe in neither."""
+    labels = ["0", "1"] * 2 + draw(st.lists(st.sampled_from("01"), max_size=8))
+    labels = draw(st.permutations(labels))
+    names = [f"f{j}" for j in range(draw(st.integers(1, 4)))]
+    names.insert(draw(st.integers(0, len(names))), "label")
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    columns = [labels if name == "label"
+               else draw(st.lists(number, min_size=len(labels), max_size=len(labels)))
+               for name in names]
+    if transpose:
+        lines = ["id," + ",".join(f"s{i}" for i in range(len(labels)))]
+        lines += [",".join([name, *col]) for name, col in zip(names, columns)]
+    else:
+        lines = [",".join(names)] + [",".join(row) for row in zip(*columns)]
+    filler = st.sampled_from(["", "#", "# a, comment"]) | st.text(
+        st.characters(blacklist_categories=["Cs"], blacklist_characters="\r\n"),
+        max_size=90).map(lambda text: "#" + text)
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=6)),
+                     reverse=True):
+        lines.insert(at, draw(filler))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+@ORIENTATIONS
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), cpus=st.integers(2, 4))
+def test_ranges_match_one_range(tmp_path, monkeypatch, transpose, data, cpus):
+    """Any split of a valid file into ranges gives the bits, labels and
+    names of one range, which forks nothing, all by numpy's parser."""
+    path = tmp_path / "ranges.csv"
+    path.write_bytes(data.draw(dataset_lines(transpose)))
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "dataset_from_rows", no_row_path)
+        with monkeypatch.context() as single:
+            single.setattr(os, "fork", no_fork)
+            one = outcome(read_dataset, str(path), transpose)
+        many_ranges(patch, cpus, segment=data.draw(st.integers(1, 200)))
+        assert outcome(read_dataset, str(path), transpose) == one
+
+
+def forty_samples(tmp_path, transpose, last_cell=None):
+    """A file of 40 samples by 12 features, enough lines for 4 ranges in
+    either orientation; ``last_cell`` replaces the bytes of the last
+    feature of the last sample, which a later range reads."""
+    grid = [[repr(0.25 * i + j) for j in range(12)] for i in range(40)]
+    grid[-1][-1] = "@@"
+    text = dataset_text(transpose, grid=grid, labels=["0", "1"] * 20,
+                        names=[f"g{j}" for j in range(12)])
+    path = tmp_path / "forty.csv"
+    path.write_bytes(text.encode().replace(b"@@", last_cell or b"0.5"))
+    return str(path)
+
+
+FAULTS = {"cell": b"oops", "byte": b"1\xff", "lone CR": b"1\r2"}
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_in_a_later_range_reads_as_one_range(tmp_path, monkeypatch,
+                                                   transpose, fault):
+    path = forty_samples(tmp_path, transpose, FAULTS[fault])
+    one = outcome(read_dataset, path, transpose)
+    assert one[0] == "error"
+    forks = many_ranges(monkeypatch)
+    assert outcome(read_dataset, path, transpose) == one
+    assert len(forks) == 3
+
+
+@ORIENTATIONS
+@pytest.mark.parametrize("when", ["mid-range", "after sending"])
+def test_worker_that_dies_falls_back_to_row_path(tmp_path, monkeypatch,
+                                                 transpose, when):
+    path = forty_samples(tmp_path, transpose)
+    one = outcome(read_dataset, path, transpose)
+    assert one[0] == "dataset"
+
+    parent = os.getpid()
+    real_lines = segments._range_lines
+    real_send = segments._send_range
+    row_path_reads = []
+    real_row_path = dataio.dataset_from_rows
+
+    def dying_mid_range(fd, start, stop):
+        for k, line in enumerate(real_lines(fd, start, stop)):
+            if k == 1 and os.getpid() != parent:
+                os._exit(3)
+            yield line
+
+    def dying_after_sending(parse, start, stop, out):
+        real_send(parse, start, stop, out)
+        out.flush()
+        os._exit(3)
+
+    forks = many_ranges(monkeypatch)
+    if when == "mid-range":
+        monkeypatch.setattr(segments, "_range_lines", dying_mid_range)
+    else:
+        monkeypatch.setattr(segments, "_send_range", dying_after_sending)
+    monkeypatch.setattr(dataio, "dataset_from_rows",
+                        lambda *a: row_path_reads.append(1) or real_row_path(*a))
+    assert outcome(read_dataset, path, transpose) == one
+    assert len(forks) == 3 and len(row_path_reads) == 1
+
+
+@ORIENTATIONS
+def test_parent_exception_kills_and_reaps_workers(tmp_path, monkeypatch, transpose):
+    path = forty_samples(tmp_path, transpose)
+    parent = os.getpid()
+
+    def stuck_or_failing(fd, start, stop):
+        if os.getpid() != parent:
+            # only a kill ends this worker in time
+            time.sleep(30)
+            os._exit(0)
+        raise RuntimeError("the parent fails mid-parse")
+        yield
+
+    forks = many_ranges(monkeypatch)
+    monkeypatch.setattr(segments, "_range_lines", stuck_or_failing)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="mid-parse"):
+        read_dataset(path, transpose=transpose)
+    assert time.monotonic() - start < 10
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@ORIENTATIONS
+def test_workers_leave_by_os_exit(tmp_path, monkeypatch, transpose):
+    """A worker that raises neither returns into the caller nor flushes the
+    caller's buffers."""
+    path = forty_samples(tmp_path, transpose)
+    one = outcome(read_dataset, path, transpose)
+    parent = os.getpid()
+    real_lines = segments._range_lines
+
+    def failing_in_workers(fd, start, stop):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker fails")
+        yield from real_lines(fd, start, stop)
+
+    forks = many_ranges(monkeypatch)
+    monkeypatch.setattr(segments, "_range_lines", failing_in_workers)
+    log = tmp_path / "log.txt"
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.write("unflushed")
+        got = outcome(read_dataset, path, transpose)
+        if os.getpid() != parent:
+            fh.write(" and a worker returned")
+            fh.flush()
+            os._exit(0)
+    assert log.read_text(encoding="utf-8") == "unflushed"
+    assert got == one and len(forks) == 3
 
 
 # ---------------------------------------------------------------------------
