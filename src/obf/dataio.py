@@ -16,11 +16,11 @@ A dataset file is opened once. Its data lines are cut into line-aligned
 byte ranges, up to one per usable CPU, and each range is one pass of numpy's
 C parser (``obf.segments``): the first in this process, the others in
 forked workers that send their numbers through a pipe straight into place.
-Label cells and feature names are split off as text. A file that parser
-cannot vouch for is read again, from the same handle, by the row-by-row
-path, which follows ``float()``'s grammar and names the row and column of
-each error. The reading process peaks at the matrix plus its own range's
-share of it.
+Label cells and feature names are split off as text. A range that parser
+rejects is read line by line under ``float()``'s grammar by the process
+that owns it, which names the row and column of its first error; only a
+byte that is not UTF-8 has the file read again, in text mode, to name it.
+The reading process peaks at the matrix plus its own range's share of it.
 
 Run configuration is flat INI: sections [prior], [selection], [synth],
 [plan]; unknown sections or keys are errors, not warnings.
@@ -39,11 +39,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import segments
 from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
 from .errors import AllDegenerate, ConfigInvalid, DatasetParseError, OutputError
 from .harness import parse_method
-from .segments import numpy_dataset
 from .selection import CRITERIA, Rule, ScoreTable, parse_rule
 from .synth import SynthConfig, desk_config, full_config
 
@@ -404,34 +404,6 @@ def read_csv_text(path, fh=None):
 # ---------------------------------------------------------------------------
 
 
-def _fill(target, cells) -> bool:
-    """Convert ``cells`` by ``float()``'s grammar, as numpy does for ``str``,
-    into ``target``; False unless all are finite numbers."""
-    try:
-        target[...] = cells
-    except ValueError:
-        return False
-    return bool(np.isfinite(target).all())
-
-
-def _bad_cell(path, cells, row, first_column, label_cells=()):
-    """The parse error of the first bad cell of a file row that failed;
-    cells at the indices in ``label_cells`` are class labels."""
-    for k, cell in enumerate(cells):
-        if k in label_cells:
-            problem = None if cell in ("0", "1") else "label must be 0 or 1, found"
-        else:
-            try:
-                problem = None if math.isfinite(float(cell)) else "non-finite value"
-            except ValueError:
-                problem = "not a number:"
-        if problem:
-            return DatasetParseError(
-                f"{path}: {problem} {cell!r}", row=row, column=first_column + k
-            )
-    raise AssertionError(f"{path}: row {row} has no bad cell")
-
-
 def read_dataset(path, label_column: str = "label", transpose: bool = False,
                  fh=None):
     """Parse a dataset file into (values, labels, feature_names).
@@ -441,77 +413,18 @@ def read_dataset(path, label_column: str = "label", transpose: bool = False,
     and the row named ``label_column`` holds the class labels. ``fh``, when
     given, is ``path`` already opened by ``open_text``.
 
-    numpy's parser reads the data lines in line-aligned byte ranges, up to
-    one per usable CPU: the first in this process, each other in a forked
-    worker (see ``obf.segments``). A file it cannot vouch for (a cell
-    outside its number grammar, a label that is not exactly 0 or 1, a failed
-    check) is read again from the same handle by the row-by-row path, which
-    takes ``float()``'s grammar and names each error's row and column.
+    ``obf.segments`` reads it (see there) and names each error's row and
+    column; ``read_csv_text`` names a byte that is not UTF-8.
     """
     if fh is None:
         with open_text(path) as fh:
             return read_dataset(path, label_column, transpose, fh)
-    dataset = numpy_dataset(fh.fileno(), label_column, transpose)
-    if dataset is not None:
-        return dataset
-    header, rows, _ = read_csv_text(path, fh)
-    return dataset_from_rows(header, rows, path, label_column, transpose)
-
-
-def dataset_from_rows(header, rows, path, label_column: str = "label",
-                      transpose: bool = False):
-    """``read_dataset`` on the header and rows ``read_csv_text`` gave.
-
-    Each file row is converted in one step, straight into the samples x
-    features matrix; error positions are in the file's own orientation.
-    """
-    # feature names run along the header, or down the file's first column
-    names = [row[0] for row in rows] if transpose else header
-    line = "row" if transpose else "column"
-    if label_column not in names:
-        raise DatasetParseError(f"{path}: no {label_column!r} {line}")
-    if len(set(names)) != len(names):
-        raise _duplicate_name(path, names, label_column, line)
-    at = names.index(label_column)
-    feature_names = names[:at] + names[at + 1:]
-    n = len(header) - 1 if transpose else len(rows)
-    values = np.empty((n, len(feature_names)), dtype=np.float64)
-    if transpose:
-        label_cells = rows[at][1:]
-        for j, row in enumerate(rows):
-            if j == at:
-                if not set(label_cells) <= {"0", "1"}:
-                    raise _bad_cell(path, label_cells, j + 2, 2, range(n))
-            elif not _fill(values[:, j - (j > at)], row[1:]):
-                raise _bad_cell(path, row[1:], j + 2, 2)
-    else:
-        label_cells = [row[at] for row in rows]
-        for i, row in enumerate(rows):
-            if not (_fill(values[i], row[:at] + row[at + 1:])
-                    and row[at] in ("0", "1")):
-                raise _bad_cell(path, row, i + 2, 1, (at,))
-    labels = np.array([cell == "1" for cell in label_cells], dtype=np.int8)
-    n1 = int(np.count_nonzero(labels))
-    if n1 < 2 or n - n1 < 2:
-        raise DatasetParseError(f"{path}: need at least 2 samples per class")
-    return values, labels, feature_names
-
-
-def _duplicate_name(path, names, label_column, line):
-    """The parse error of the first name in ``names`` seen a second time,
-    at the file row (features in rows) or column of that second time."""
-    first = {}
-    for k, name in enumerate(names):
-        seen = first.setdefault(name, k)
-        if seen != k:
-            # rows count the header as row 1
-            before, at = (seen + 2, k + 2) if line == "row" else (seen + 1, k + 1)
-            if name == label_column:
-                problem = f"{name!r} names both {line} {before} and {line} {at}"
-            else:
-                problem = f"duplicate feature name {name!r}, first at {line} {before}"
-            return DatasetParseError(f"{path}: {problem}", **{line: at})
-    raise AssertionError(f"{path}: no name is repeated")
+    try:
+        return segments.read(path, fh.fileno(), label_column, transpose)
+    except UnicodeDecodeError:
+        # a ragged row before the byte, or else the byte itself
+        read_csv_text(path, fh)
+        raise
 
 
 def _float_or_nan(cell) -> float:

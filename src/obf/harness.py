@@ -14,7 +14,6 @@ not selected; a sweep never aborts on a single bad probe.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +24,7 @@ from .bayes import PriorSpec, jp_prior, log_h_table, matrix_stats, pp_prior
 from .baselines import bd_array, mi_array, welch_t_array, wilks_array
 from .errors import ConfigInvalid
 from .rng import replicate_seed
+from .segments import usable_cpus
 from .selection import Rule, parse_rule, rank_order
 from .synth import GLOBAL, HETERO, SynthConfig, generate
 
@@ -224,8 +224,8 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a plan; optionally track score medians by truth tag.
 
-    ``threads`` worker processes (0 = one per CPU) run the cells, never
-    more than there are CPUs or cells.
+    ``threads`` worker processes (0 = one per usable CPU) run the cells,
+    never more than there are usable CPUs or cells.
     """
     if threads < 0:
         raise ConfigInvalid(f"threads must be 0 (one per CPU) or more, got {threads}")
@@ -236,7 +236,7 @@ def run_sweep(
         for n in plan.n_grid
         for rep in range(plan.replicates)
     ]
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     workers = min(threads or cpus, cpus, len(payloads))
     if workers == 1:
         results = [_replicate_cell(p) for p in payloads]

@@ -3,9 +3,11 @@
 Nothing here may call into the package's own closed-form paths: oracles are
 either high-precision (mpmath at 50 digits) or brute-force (adaptive
 quadrature, exhaustive enumeration), so agreement with the package is a real
-cross-check rather than a tautology. The one exception is the per-stream
-generator, which draws through ``obf.rng.Stream``: ``tests/test_rng.py``
-checks those streams word for word on their own.
+cross-check rather than a tautology. The exceptions are the per-stream
+generator, which draws through ``obf.rng.Stream`` (``tests/test_rng.py``
+checks those streams word for word on their own), and the row-by-row
+dataset reader, which takes its rows from ``obf.dataio.read_csv_text``, the
+package's text-mode CSV reader.
 """
 
 from __future__ import annotations
@@ -329,3 +331,76 @@ def generate_per_stream(config, n: int, seed: int):
         values=values, labels=labels, truth=tuple(truth), seed=seed,
         config_digest=config.digest(), subclass=subclass,
     )
+
+
+def read_dataset_rows(path, label_column="label", transpose=False):
+    """``obf.dataio.read_dataset`` by the row-by-row path: the whole file
+    read in text mode by ``read_csv_text``, then each row converted by
+    ``float()``'s grammar, in one step, straight into the samples x features
+    matrix. Error positions are in the file's own orientation.
+    """
+    from obf.dataio import read_csv_text
+    from obf.errors import DatasetParseError
+
+    header, rows, _ = read_csv_text(path)
+    # feature names run along the header, or down the file's first column
+    names = [row[0] for row in rows] if transpose else header
+    line = "row" if transpose else "column"
+    if label_column not in names:
+        raise DatasetParseError(f"{path}: no {label_column!r} {line}")
+    first = {}
+    for k, name in enumerate(names):
+        seen = first.setdefault(name, k)
+        if seen != k:
+            before, at = (seen + 2, k + 2) if transpose else (seen + 1, k + 1)
+            if name == label_column:
+                problem = f"{name!r} names both {line} {before} and {line} {at}"
+            else:
+                problem = f"duplicate feature name {name!r}, first at {line} {before}"
+            raise DatasetParseError(f"{path}: {problem}", **{line: at})
+    if len(names) == 1:
+        raise DatasetParseError(f"{path}: no feature {line}s")
+    at = names.index(label_column)
+    feature_names = names[:at] + names[at + 1:]
+    n = len(header) - 1 if transpose else len(rows)
+    values = np.empty((n, len(feature_names)), dtype=np.float64)
+
+    def bad_cell(cells, row, first_column, label_cells=()):
+        for k, cell in enumerate(cells):
+            if k in label_cells:
+                problem = None if cell in ("0", "1") else "label must be 0 or 1, found"
+            else:
+                try:
+                    problem = None if math.isfinite(float(cell)) else "non-finite value"
+                except ValueError:
+                    problem = "not a number:"
+            if problem:
+                return DatasetParseError(f"{path}: {problem} {cell!r}",
+                                         row=row, column=first_column + k)
+        raise AssertionError(f"{path}: row {row} has no bad cell")
+
+    def fill(target, cells):
+        try:
+            target[...] = cells
+        except ValueError:
+            return False
+        return bool(np.isfinite(target).all())
+
+    if transpose:
+        label_cells = rows[at][1:]
+        for j, row in enumerate(rows):
+            if j == at:
+                if not set(label_cells) <= {"0", "1"}:
+                    raise bad_cell(label_cells, j + 2, 2, range(n))
+            elif not fill(values[:, j - (j > at)], row[1:]):
+                raise bad_cell(row[1:], j + 2, 2)
+    else:
+        label_cells = [row[at] for row in rows]
+        for i, row in enumerate(rows):
+            if not (fill(values[i], row[:at] + row[at + 1:]) and row[at] in ("0", "1")):
+                raise bad_cell(row, i + 2, 1, (at,))
+    labels = np.array([cell == "1" for cell in label_cells], dtype=np.int8)
+    n1 = int(np.count_nonzero(labels))
+    if n1 < 2 or n - n1 < 2:
+        raise DatasetParseError(f"{path}: need at least 2 samples per class")
+    return values, labels, feature_names

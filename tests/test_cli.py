@@ -374,7 +374,7 @@ class TestInputReads:
         monkeypatch.setattr(segments, "_fork",
                             lambda work: forks.append(1) or real_fork(work))
         monkeypatch.setattr(segments, "_SEGMENT_BYTES", 1 << 10)
-        monkeypatch.setattr(segments, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(segments, "usable_cpus", lambda: 4)
         assert outputs("many") == one
         # two commands, each reading 3-4 ranges
         assert len(forks) >= 4
@@ -436,6 +436,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{name}'" in err
         assert f"{line} {first}" in err and f"({line} {second})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["samples-in-rows", "features-in-rows"])
+    @pytest.mark.parametrize("command", ["rank", "select"])
+    def test_no_feature_exit_2(self, tmp_path, capsys, transpose, command):
+        # only the label column, or only the label row
+        text = ("id,s1,s2,s3,s4\nlabel,0,1,0,1\n" if transpose
+                else "label\n0\n1\n0\n1\n")
+        data = write(tmp_path / "labels_only.csv", text)
+        cfg = write(tmp_path / "cfg.ini", JP_PRIOR + "[selection]\ncriterion = mnc\n")
+        out = tmp_path / "o.csv"
+        code = main([command, data, "--config", cfg, "--out", str(out)]
+                    + ["--transpose"] * transpose)
+        assert code == 2
+        line = "row" if transpose else "column"
+        assert capsys.readouterr().err == f"error: {data}: no feature {line}s\n"
         assert not out.exists()
 
     def test_undecodable_input_exit_2(self, tmp_path, capsys):

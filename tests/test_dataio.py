@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from obf import dataio, segments
 from obf.cli import main
 from obf.dataio import (
-    atomic_write_text, dataset_from_rows, fmt_column, fmt_number,
-    read_csv_text, read_dataset, render_csv, render_dataset,
+    atomic_write_text, fmt_column, fmt_number, read_dataset, render_csv,
+    render_dataset,
 )
 from obf.errors import DatasetParseError
+from oracles import read_dataset_rows
 
 # samples in rows: sample i is file row i + 2, feature j is file column j + 1;
 # features in rows: feature j is file row j + 2, sample i is file column i + 2
@@ -36,10 +38,14 @@ GRID = [
 
 
 def dataset_text(transpose, grid=GRID, labels=LABELS, names=FEATURES,
-                 label_name="label"):
-    """A dataset file in either orientation, from cells by (sample, feature)."""
-    columns = [list(col) for col in zip(*grid)] + [list(labels)]
-    names = list(names) + [label_name]
+                 label_name="label", label_at=None):
+    """A dataset file in either orientation, from cells by (sample, feature);
+    the labels come after feature ``label_at``, or last."""
+    at = len(names) if label_at is None else label_at
+    columns = [list(col) for col in zip(*grid)]
+    columns.insert(at, list(labels))
+    names = list(names)
+    names.insert(at, label_name)
     if transpose:
         header = ["id"] + [f"s{i + 1}" for i in range(len(grid))]
         rows = [[name] + col for name, col in zip(names, columns)]
@@ -304,14 +310,8 @@ def test_render_matches_repr_under_reduced_simd_dispatch(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# numpy's parser against the row-by-row path
+# The reader against the row-by-row path of tests/oracles.py
 # ---------------------------------------------------------------------------
-
-
-def row_path(path, transpose):
-    """``read_dataset`` by the row-by-row path alone."""
-    header, rows, _ = read_csv_text(path)
-    return dataset_from_rows(header, rows, path, transpose=transpose)
 
 
 def outcome(read, path, transpose):
@@ -359,7 +359,7 @@ def test_cell_grammar_matches_row_path(tmp_path, transpose, cell, sample, column
     path.write_text(dataset_text(transpose, grid=grid, labels=labels),
                     encoding="utf-8")
     got = outcome(read_dataset, str(path), transpose)
-    assert got == outcome(row_path, str(path), transpose)
+    assert got == outcome(read_dataset_rows, str(path), transpose)
     # a cell that starts a comment or breaks a line changes the rows
     intact = not cell.startswith("#") and "\n" not in cell and "\r" not in cell
     if got[0] == "dataset" and column < 3 and intact:
@@ -374,11 +374,13 @@ def test_cell_grammar_matches_row_path(tmp_path, transpose, cell, sample, column
 
 @ORIENTATIONS
 def test_crlf_file_parses(tmp_path, transpose):
+    """A line ends at CRLF or at a lone CR as at LF, header included."""
     text = dataset_text(transpose)
-    crlf = read(tmp_path, text.replace("\n", "\r\n"), transpose)
     lf = read(tmp_path, text, transpose)
-    assert crlf[0].tobytes() == lf[0].tobytes()
-    assert crlf[1].tolist() == lf[1].tolist() and crlf[2] == lf[2]
+    for end in ("\r\n", "\r"):
+        other = read(tmp_path, text.replace("\n", end), transpose)
+        assert other[0].tobytes() == lf[0].tobytes()
+        assert other[1].tolist() == lf[1].tolist() and other[2] == lf[2]
 
 
 @ORIENTATIONS
@@ -456,7 +458,7 @@ def many_ranges(monkeypatch, cpus=4, segment=64):
     """Cut even a small file into up to ``cpus`` ranges; returns a list that
     gets one entry per forked worker."""
     monkeypatch.setattr(segments, "_SEGMENT_BYTES", segment)
-    monkeypatch.setattr(segments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(segments, "usable_cpus", lambda: cpus)
     forks = []
     real_fork = segments._fork
     monkeypatch.setattr(segments, "_fork",
@@ -464,8 +466,13 @@ def many_ranges(monkeypatch, cpus=4, segment=64):
     return forks
 
 
-def no_row_path(*args, **kwargs):
-    raise AssertionError("the row-by-row path was taken")
+def numpy_only(parse):
+    """``parse``, failing where a range goes to the float() fallback."""
+    def parse_range(*args):
+        if args[6:] == (False,):
+            raise AssertionError("a range was read by the float() fallback")
+        return parse(*args)
+    return parse_range
 
 
 def no_fork():
@@ -510,14 +517,17 @@ def dataset_lines(draw, transpose):
 @given(data=st.data(), cpus=st.integers(2, 4))
 def test_ranges_match_one_range(tmp_path, monkeypatch, transpose, data, cpus):
     """Any split of a valid file into ranges gives the bits, labels and
-    names of one range, which forks nothing, all by numpy's parser."""
+    names of one range, which forks nothing, and of the row-by-row path;
+    no range is read by the float() fallback."""
     path = tmp_path / "ranges.csv"
     path.write_bytes(data.draw(dataset_lines(transpose)))
+    one = outcome(read_dataset_rows, str(path), transpose)
+    assert one[0] == "dataset"
     with monkeypatch.context() as patch:
-        patch.setattr(dataio, "dataset_from_rows", no_row_path)
+        patch.setattr(segments, "_parse_range", numpy_only(segments._parse_range))
         with monkeypatch.context() as single:
             single.setattr(os, "fork", no_fork)
-            one = outcome(read_dataset, str(path), transpose)
+            assert outcome(read_dataset, str(path), transpose) == one
         many_ranges(patch, cpus, segment=data.draw(st.integers(1, 200)))
         assert outcome(read_dataset, str(path), transpose) == one
 
@@ -550,19 +560,74 @@ def test_fault_in_a_later_range_reads_as_one_range(tmp_path, monkeypatch,
     assert len(forks) == 3
 
 
+# cell text that puts each fault into a file; "@@" becomes a byte that is
+# not UTF-8
+CELL_FAULTS = {
+    "ragged row": st.sampled_from(["1,2", "0.5,"]),
+    "bad cell": st.sampled_from(["oops", "nan", "1e400", "", "0x1"]),
+    "lone CR": st.sampled_from(["1\r2", "\r", "3\r#"]),
+    "non-UTF-8 byte": st.sampled_from(["@@", "1@@"]),
+    # not faults: cells float() reads and numpy's parser does not
+    "float()-only cell": st.sampled_from(["１", "1_0", "\u30002"]),
+}
+NAME_FAULTS = ["bad label", "repeated name", "second label name"]
+
+
+@st.composite
+def faulty_file(draw, transpose):
+    """The bytes of a 16-sample, 12-feature file, its labels at any place,
+    with two faults, each at a random row and column."""
+    grid = [[repr(0.5 * i - j) for j in range(12)] for i in range(16)]
+    labels = ["0", "1"] * 8
+    names = [f"g{j}" for j in range(12)]
+    for kind in draw(st.lists(st.sampled_from([*CELL_FAULTS, *NAME_FAULTS]),
+                              min_size=2, max_size=2)):
+        sample, feature = draw(st.integers(0, 15)), draw(st.integers(0, 11))
+        if kind == "bad label":
+            labels[sample] = draw(st.sampled_from(["2", "", "1.0"]))
+        elif kind == "repeated name":
+            names[feature] = names[draw(st.integers(0, 11).filter(lambda j: j != feature))]
+        elif kind == "second label name":
+            names[feature] = "label"
+        else:
+            grid[sample][feature] = draw(CELL_FAULTS[kind])
+    text = dataset_text(transpose, grid=grid, labels=labels, names=names,
+                        label_at=draw(st.integers(0, 12)))
+    return text.encode("utf-8").replace(b"@@", b"\xff")
+
+
+@ORIENTATIONS
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), cpus=st.integers(2, 4))
+def test_two_faults_give_the_row_paths_error(tmp_path, monkeypatch, transpose,
+                                             data, cpus):
+    """Two faults in a file cut into 2-4 ranges: the error text, row and
+    column of the row-by-row path, or its bits where there is no error."""
+    path = tmp_path / "faults.csv"
+    path.write_bytes(data.draw(faulty_file(transpose)))
+    expected = outcome(read_dataset_rows, str(path), transpose)
+    with monkeypatch.context() as patch:
+        forks = many_ranges(patch, cpus, segment=data.draw(st.integers(1, 400)))
+        assert outcome(read_dataset, str(path), transpose) == expected
+    assert 1 <= len(forks) <= 3
+
+
 @ORIENTATIONS
 @pytest.mark.parametrize("when", ["mid-range", "after sending"])
 def test_worker_that_dies_falls_back_to_row_path(tmp_path, monkeypatch,
                                                  transpose, when):
+    """The range of a worker that dies mid-range, or after sending its part
+    and half its numbers, is parsed again by the parent, with the outcome of
+    one range."""
     path = forty_samples(tmp_path, transpose)
     one = outcome(read_dataset, path, transpose)
     assert one[0] == "dataset"
 
     parent = os.getpid()
     real_lines = segments._range_lines
-    real_send = segments._send_range
-    row_path_reads = []
-    real_row_path = dataio.dataset_from_rows
+    real_parse = segments._parse_range
+    parsed_here = []
 
     def dying_mid_range(fd, start, stop):
         for k, line in enumerate(real_lines(fd, start, stop)):
@@ -571,19 +636,27 @@ def test_worker_that_dies_falls_back_to_row_path(tmp_path, monkeypatch,
             yield line
 
     def dying_after_sending(parse, start, stop, out):
-        real_send(parse, start, stop, out)
+        part = parse(start, stop)
+        pickle.dump(part._replace(matrix=None), out)
+        out.write(part.matrix.data.cast("B")[:part.matrix.nbytes // 2])
         out.flush()
         os._exit(3)
+
+    def parse(*args):
+        if os.getpid() == parent:
+            parsed_here.append(args[4:6])
+        return real_parse(*args)
 
     forks = many_ranges(monkeypatch)
     if when == "mid-range":
         monkeypatch.setattr(segments, "_range_lines", dying_mid_range)
     else:
         monkeypatch.setattr(segments, "_send_range", dying_after_sending)
-    monkeypatch.setattr(dataio, "dataset_from_rows",
-                        lambda *a: row_path_reads.append(1) or real_row_path(*a))
+    monkeypatch.setattr(segments, "_parse_range", parse)
     assert outcome(read_dataset, path, transpose) == one
-    assert len(forks) == 3 and len(row_path_reads) == 1
+    # the parent's own range, then each dead worker's
+    assert len(forks) == 3
+    assert len(parsed_here) == 4 and len(set(parsed_here)) == 4
 
 
 @ORIENTATIONS
@@ -645,22 +718,27 @@ def test_workers_leave_by_os_exit(tmp_path, monkeypatch, transpose):
 
 @ORIENTATIONS
 def test_parse_peak_is_a_small_multiple_of_the_matrix(tmp_path, transpose):
+    """Also where the last row holds a full-width digit, which float() reads
+    and numpy's parser does not."""
     rng = np.random.default_rng(5)
     grid = [[repr(v) for v in row] for row in rng.normal(size=(300, 200)).tolist()]
     labels = ["0", "1"] * 150
     names = [f"g{j}" for j in range(200)]
     path = tmp_path / "big.csv"
-    path.write_text(dataset_text(transpose, grid=grid, labels=labels, names=names),
-                    encoding="utf-8")
-    tracemalloc.start()
-    try:
-        values, _, _ = read_dataset(str(path), transpose=transpose)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # cell strings alone would take about ten times the matrix
-    assert peak < 3 * values.nbytes
-    assert values.shape == (300, 200)
+    for last_cell in (grid[-1][7], "１"):
+        grid[-1][7] = last_cell
+        path.write_text(dataset_text(transpose, grid=grid, labels=labels, names=names),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            values, _, _ = read_dataset(str(path), transpose=transpose)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # cell strings alone would take about ten times the matrix
+        assert peak < 3 * values.nbytes
+        assert values.shape == (300, 200)
+        assert values[-1, 7] == float(last_cell)
 
 
 def test_render_and_write_peak_is_a_chunk(tmp_path, monkeypatch):

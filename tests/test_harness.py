@@ -1,5 +1,7 @@
 """Sweep harness: method parsing, scoring, determinism, parallel merge."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ class TestRunPlan:
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
         methods = (parse_method("mnc-obf-jp"),)
         four_cells = ExperimentPlan(small_config(), (20, 30), 2, methods)
         two_cells = ExperimentPlan(small_config(), (20,), 2, methods)
@@ -175,6 +177,23 @@ class TestRunPlan:
         run_sweep(two_cells, threads=8)
         run_sweep(four_cells, threads=1)
         assert started == [3, 3, 2]
+
+    def test_one_cpu_affinity_starts_no_pool(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+        # the process may run on one CPU of the four the machine has
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        plan = ExperimentPlan(small_config(), (20, 30), 2,
+                              (parse_method("mnc-obf-jp"),))
+        rows = run_sweep(plan, threads=0).rows
+        assert run_sweep(plan, threads=8).rows == rows
+        assert started == []
 
     def test_negative_threads_rejected_before_any_pool(self, monkeypatch):
         started = []
