@@ -9,8 +9,10 @@ is one gather into a byte matrix; zero, subnormal and non-finite cells and
 magnitudes outside [2**-37, 2**54) go to ``repr`` one by one. Every output
 file starts with a provenance header (tool version, config digest, seed)
 and echoes the resolved configuration. Writes go through a temp file and
-rename, so readers never observe partial output; a dataset is rendered into
-it row by row, never as one string.
+rename, so readers never observe partial output. A dataset is rendered into
+it a block of rows at a time, never as one string; the blocks are formatted
+by forked workers, up to one per usable CPU, and written in file order by
+the calling process (``obf.workers``).
 
 A dataset file is opened once. Its data lines are cut into line-aligned
 byte ranges, up to one per usable CPU, and each range is one pass of numpy's
@@ -29,6 +31,7 @@ Run configuration is flat INI: sections [prior], [selection], [synth],
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -39,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import segments
+from . import segments, workers
 from ._version import __version__
 from .bayes import NIWHyper, PriorSpec, jp_prior, pp_prior
 from .errors import AllDegenerate, ConfigInvalid, DatasetParseError, OutputError
@@ -300,7 +303,8 @@ def atomic_write_text(path, text) -> None:
     ``text`` is a string, or an iterable of chunks that are strings or
     ASCII bytes; strings are encoded as UTF-8. Raises ``OutputError`` when
     the path cannot be written. No temporary file is left behind, and the
-    target is untouched, when the write fails or the chunks raise.
+    target is untouched, when the write fails or the chunks raise; a
+    generator of chunks is closed then, so that it ends what it started.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
@@ -316,6 +320,8 @@ def atomic_write_text(path, text) -> None:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as err:
+        if hasattr(text, "close"):
+            text.close()
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(err, OSError):
@@ -470,21 +476,74 @@ def table_from_ranked(path, header, rows) -> ScoreTable:
 
 
 # cells formatted at a time: a few MB of temporaries
-_RENDER_CELLS = 1 << 14
+_RENDER_CELLS = 1 << 13
 
 
 def render_dataset(values, labels, feature_names, comments):
-    """The dataset CSV as UTF-8 chunks: the header, then one chunk per row,
-    formatted ``_RENDER_CELLS`` cells at a time; a cell's text is
-    ``fmt_number``'s (``repr``) on finite values."""
+    """The dataset CSV as UTF-8 chunks: the header, then one chunk per
+    block of rows, as many as fit in ``_RENDER_CELLS`` cells, or one; a
+    cell's text is ``fmt_number``'s (``repr``) on finite values.
+
+    The blocks are dealt round-robin over the parts (``obf.workers.parts``)
+    of the most bytes the cells' text can take. Where there are several,
+    each part's blocks are formatted by a forked worker and sent through its
+    pipe, and this process only passes them on in file order; it formats
+    the blocks of a worker that dies itself.
+    """
     header = "\n".join([*comments, ",".join([*feature_names, "label"])]) + "\n"
     yield header.encode("utf-8")
     step = max(1, _RENDER_CELLS // (values.shape[1] + 1))
-    for start in range(0, values.shape[0], step):
-        block = values[start:start + step]
-        rows = _repr_cells(block.ravel()).reshape(len(block), -1)
-        for row, label in zip(rows, labels[start:start + step].tolist()):
-            yield row.tobytes().translate(None, b"\0") + b"%d\n" % label
+    starts = range(0, values.shape[0], step)
+    block = functools.partial(_render_block, values, labels, step)
+    count = min(workers.parts(values.size * _CELL), len(starts))
+    if count <= 1:
+        yield from map(block, starts)
+        return
+    with workers.forked() as children:
+        for k in range(count):
+            send = functools.partial(_send_blocks, block, starts[k::count])
+            children.append(workers.fork(send))
+        pipes = [pipe for _, pipe in children]
+        for k, start in enumerate(starts):
+            pipe = pipes[k % count]
+            chunk = _received(pipe) if pipe else None
+            if chunk is None:
+                pipes[k % count] = None  # the worker died
+                chunk = block(start)
+            yield chunk
+
+
+def _render_block(values, labels, step, start):
+    """The ASCII text of rows ``start`` to ``start + step``, formatted
+    ``_RENDER_CELLS`` cells at a time."""
+    rows = values[start:start + step]
+    flat = rows.ravel()
+    cells = np.empty((flat.size, _CELL), dtype=np.uint8)
+    for k in range(0, flat.size, _RENDER_CELLS):
+        cells[k:k + _RENDER_CELLS] = _repr_cells(flat[k:k + _RENDER_CELLS])
+    return b"".join(row.tobytes().translate(None, b"\0") + b"%d\n" % label
+                    for row, label in zip(cells.reshape(len(rows), -1),
+                                          labels[start:start + step].tolist()))
+
+
+def _send_blocks(block, starts, out):
+    """A render worker's side: each block, after its length."""
+    for start in starts:
+        chunk = block(start)
+        out.write(len(chunk).to_bytes(8, "little"))
+        out.write(chunk)
+
+
+def _received(pipe):
+    """The next block a render worker sent, or None where its output ends
+    early."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        chunk = pipe.read(size)
+        if len(chunk) == size:
+            return chunk
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ not selected; a sweep never aborts on a single bad probe.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +23,9 @@ from .bayes import PriorSpec, jp_prior, log_h_table, matrix_stats, pp_prior
 from .baselines import bd_array, mi_array, welch_t_array, wilks_array
 from .errors import ConfigInvalid
 from .rng import replicate_seed
-from .segments import usable_cpus
 from .selection import Rule, parse_rule, rank_order
 from .synth import GLOBAL, HETERO, SynthConfig, generate
+from .workers import usable_cpus
 
 OBF_PRESETS = ("pp", "jp")
 # head of a baseline method string -> (kind, name)
@@ -241,6 +240,9 @@ def run_sweep(
     if workers == 1:
         results = [_replicate_cell(p) for p in payloads]
     else:
+        # imported here: it costs every command that runs no sweep ~12 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_cell, payloads, chunksize=1))
     by_cell = {key: (metrics, probe) for key, metrics, probe in results}

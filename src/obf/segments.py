@@ -1,13 +1,13 @@
 """The dataset reader: a file's data lines parsed by numpy, on up to one
 process per usable CPU.
 
-The lines after the header are cut into line-aligned byte ranges, read with
-``os.pread`` from the file ``obf.dataio.read_dataset`` has open. The first
-range is parsed in the calling process and each other one in a forked
-worker, which sends its numbers back through a pipe. Each range is one
-``np.loadtxt`` pass, or, where numpy rejects it, is read line by line under
-``float()``'s grammar by the same process, which names its first ragged line
-and bad cell. The checks of the whole file run once, in the calling process.
+The lines after the header are cut into line-aligned byte ranges, one per
+part (``obf.workers``), read with ``os.pread`` from the file
+``obf.dataio.read_dataset`` has open. The first range is parsed in the
+calling process and each other one in a forked worker, which sends its
+numbers back through a pipe. Each range is one ``np.loadtxt`` pass, or,
+where numpy rejects it, is read line by line under ``float()``'s grammar by
+the same process, which names its first ragged line and bad cell. The checks of the whole file run once, in the calling process.
 """
 
 from __future__ import annotations
@@ -17,30 +17,18 @@ import itertools
 import math
 import os
 import pickle
-import signal
-import threading
-from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import workers
 from .errors import DatasetParseError
 
-# bytes of data lines that make one range, parsed by one process; a file
-# gets at most one range per usable CPU
-_SEGMENT_BYTES = 4 << 20
 # bytes read from a dataset file at a time
 _BLOCK_BYTES = 1 << 16
 
 # numpy's parser skips these around a number as spaces; float() rejects them
 _NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def usable_cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _Part(NamedTuple):
@@ -67,12 +55,13 @@ def read(path, fd, label_column, transpose):
     at = None if transpose else (
         header.index(label_column) if label_column in header else 0)
     parse = functools.partial(_parse_range, fd, label_column, width, at)
-    with _forked() as workers:
+    with workers.forked() as children:
         ranges = _ranges(fd, body, size)
         for start, stop in ranges[1:]:
-            workers.append(_fork(functools.partial(_send_range, parse, start, stop)))
+            children.append(workers.fork(
+                functools.partial(_send_range, parse, start, stop)))
         parts = [parse(*ranges[0])]
-        for (_, pipe), bounds in zip(workers, ranges[1:]):
+        for (_, pipe), bounds in zip(children, ranges[1:]):
             try:
                 parts.append(pickle.load(pipe))
             except (EOFError, ValueError, pickle.UnpicklingError):
@@ -85,7 +74,7 @@ def read(path, fd, label_column, transpose):
             parts[k] = None
             if part.matrix is None:
                 try:
-                    _receive_part(workers[k - 1][1], values, offset, part.rows,
+                    _receive_part(children[k - 1][1], values, offset, part.rows,
                                   transpose)
                 except ValueError:
                     part = parse(*ranges[k])  # the worker died sending
@@ -162,12 +151,9 @@ def _header(path, fd, size):
 
 
 def _ranges(fd, start, size):
-    """Line-aligned byte ranges that cover [start, size): one per
-    ``_SEGMENT_BYTES``, at most one per usable CPU, and one only where this
-    process cannot fork or runs other threads."""
-    count = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        count = min(usable_cpus(), -(-(size - start) // _SEGMENT_BYTES))
+    """Line-aligned byte ranges that cover [start, size), one per part
+    (``obf.workers.parts``)."""
+    count = workers.parts(size - start)
     cuts = {_line_end(fd, start + k * (size - start) // count, size)
             for k in range(1, count)}
     bounds = [start, *sorted(cuts | {size})]
@@ -226,15 +212,15 @@ def _parse_range(fd, label_column, width, at, start, stop, numpy=True):
     Lines go to one ``np.loadtxt`` pass, but those numpy may read unlike
     ``float()`` (not ASCII, or with a space only numpy skips) go as zeros and
     then to ``float()``. Where a cell is rejected, every line goes to
-    ``float()``, which names the first bad one. Lines past a ragged one are
-    only decoded.
+    ``float()`` as it is read, which names the first bad one. Lines past a
+    ragged one are only decoded.
     """
-    labels, names, odd = [], [], []
+    labels, names, odd, converted = [], [], [], []
     zeros = ",".join(["0"] * (width - (at is None)))
     rows, ragged, bad = 0, None, None
 
     def numbers():
-        nonlocal rows, ragged
+        nonlocal rows, ragged, bad
         for k, line in enumerate(_range_lines(fd, start, stop)):
             if ragged or line.count(",") != width - 1:
                 found = line.count(",") + 1
@@ -250,7 +236,17 @@ def _parse_range(fd, label_column, width, at, start, stop, numpy=True):
                 labels.append(line.split(",", at + 1)[at])
             else:
                 labels.append(line.rsplit(",", width - at)[1])
-            if not (numpy and line.isascii()) or any(
+            if not numpy:
+                # the range is held as numbers, not as text
+                if bad is None:
+                    row = np.empty(width - 1)
+                    cells = _cells(line, at)
+                    if _fill(row, cells):
+                        converted.append(row)
+                    else:
+                        j, problem = _bad_cell(cells)
+                        bad = (k, j + 2 if at is None else j + 1 + (j >= at), problem)
+            elif not line.isascii() or any(
                     space in line for space in _NUMPY_ONLY_SPACES):
                 odd.append((rows, k, line))
                 line = zeros
@@ -264,22 +260,17 @@ def _parse_range(fd, label_column, width, at, start, stop, numpy=True):
             # no lines for loadtxt, which warns of input with no rows
             for _ in lines:
                 pass
-            matrix = np.empty((rows, width - 1))
+            if bad:
+                converted.clear()  # a bad cell fails the read: no numbers needed
+            matrix = np.array(converted) if converted else np.empty((rows, width - 1))
         else:
             columns = None if at is None else [k for k in range(width) if k != at]
             matrix = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                                 comments=None, dtype=np.float64, ndmin=2,
                                 usecols=columns)
         for row, k, line in odd:
-            cells = line.split(",")
-            if at is not None:
-                del cells[at]
-            if not _fill(matrix[row], cells):
-                if numpy:
-                    raise ValueError("a cell float() rejects")
-                j, problem = _bad_cell(cells)
-                bad = (k, j + 2 if at is None else j + 1 + (j >= at), problem)
-                break
+            if not _fill(matrix[row], _cells(line, at)):
+                raise ValueError("a cell float() rejects")
         if numpy and not np.isfinite(matrix).all():
             raise ValueError("a number that is not finite")
     except ValueError as err:
@@ -288,6 +279,15 @@ def _parse_range(fd, label_column, width, at, start, stop, numpy=True):
         return _parse_range(fd, label_column, width, at, start, stop, False)
     lines = len(names) if at is None else len(labels)
     return _Part(lines, labels, names, ragged, bad, rows, matrix)
+
+
+def _cells(line, at):
+    """The number cells of a data line, without its label cell at ``at``
+    (or its name, cut off already, where ``at`` is None)."""
+    cells = line.split(",")
+    if at is not None:
+        del cells[at]
+    return cells
 
 
 def _fill(target, cells) -> bool:
@@ -353,50 +353,3 @@ def _receive_part(pipe, values, offset, rows, transpose):
         chunk = block[:min(step, offset + rows - start)]
         _read_into(pipe, chunk)
         _place(values, start, chunk, transpose)
-
-
-@contextmanager
-def _forked():
-    """A list for the (pid, pipe) of forked workers. On leaving, each
-    worker has its pipe closed and is killed and reaped."""
-    workers = []
-    try:
-        yield workers
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-
-
-def _fork(work):
-    """(pid, read end of a pipe) of a forked worker that runs ``work`` on
-    the pipe's write end. The worker leaves only by ``os._exit``: 0 where
-    ``work`` returned, 1 where it raised. It never returns into the caller
-    or flushes the caller's buffers.
-
-    Forking is safe here: ``_ranges`` gives more than one range only in a
-    process with no other thread, and the worker runs only numpy's parser
-    and this pipe.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as out:
-                work(out)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")

@@ -6,11 +6,13 @@ import importlib.util
 import io
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from obf import segments
+from obf import dataio, workers
 from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.cli import main
 from obf.dataio import load_config, read_csv_text
@@ -370,14 +372,22 @@ class TestInputReads:
 
         one = outputs("one")
         forks = []
-        real_fork = segments._fork
-        monkeypatch.setattr(segments, "_fork",
-                            lambda work: forks.append(1) or real_fork(work))
-        monkeypatch.setattr(segments, "_SEGMENT_BYTES", 1 << 10)
-        monkeypatch.setattr(segments, "usable_cpus", lambda: 4)
+        real_fork = workers.fork
+        monkeypatch.setattr(workers, "fork",
+                            lambda *args: forks.append(1) or real_fork(*args))
+        monkeypatch.setattr(workers, "PART_BYTES", 1 << 10)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
         assert outputs("many") == one
         # two commands, each reading 3-4 ranges
         assert len(forks) >= 4
+
+
+def test_commands_import_no_process_pool():
+    """Only a sweep on several workers imports the process pool."""
+    src = os.path.dirname(os.path.dirname(workers.__file__))
+    code = "import sys, obf.cli; sys.exit('concurrent.futures' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestErrors:
@@ -574,6 +584,28 @@ class TestSimulate:
         for _, tag in truth_rows:
             tags[tag] = tags.get(tag, 0) + 1
         assert tags["GLOBAL"] == 20 and tags["HETERO"] == 80
+
+    def test_render_in_workers_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path / "syn.ini", SYNTH_SMALL)
+
+        def simulate(tag):
+            out = tmp_path / f"sim-{tag}.csv"
+            assert main(["simulate", "--config", cfg, "--n", "40", "--seed", "3",
+                         "--out", str(out)]) == 0
+            return out.read_bytes(), (tmp_path / f"sim-{tag}.truth.csv").read_bytes()
+
+        # 2 rows a block: 20 blocks
+        monkeypatch.setattr(dataio, "_RENDER_CELLS", 256)
+        one = simulate("one")
+        forks = []
+        real_fork = workers.fork
+        monkeypatch.setattr(workers, "fork",
+                            lambda *args: forks.append(1) or real_fork(*args))
+        monkeypatch.setattr(workers, "PART_BYTES", 1 << 10)
+        for cpus in (2, 4):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            assert simulate(cpus) == one
+        assert len(forks) == 6
 
 
 PLAN_SMALL = """

@@ -1,11 +1,13 @@
 """The dataset file contract: number grammar, error positions, rendering."""
 
+import errno
 import math
 import os
 import pickle
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -14,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from obf import dataio, segments
+from obf import dataio, segments, workers
 from obf.cli import main
 from obf.dataio import (
     atomic_write_text, fmt_column, fmt_number, read_dataset, render_csv,
     render_dataset,
 )
-from obf.errors import DatasetParseError
+from obf.errors import DatasetParseError, OutputError
 from oracles import read_dataset_rows
 
 # samples in rows: sample i is file row i + 2, feature j is file column j + 1;
@@ -457,12 +459,12 @@ def test_late_undecodable_byte_exits_2(tmp_path, capsys, transpose, command):
 def many_ranges(monkeypatch, cpus=4, segment=64):
     """Cut even a small file into up to ``cpus`` ranges; returns a list that
     gets one entry per forked worker."""
-    monkeypatch.setattr(segments, "_SEGMENT_BYTES", segment)
-    monkeypatch.setattr(segments, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "PART_BYTES", segment)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     forks = []
-    real_fork = segments._fork
-    monkeypatch.setattr(segments, "_fork",
-                        lambda work: forks.append(1) or real_fork(work))
+    real_fork = workers.fork
+    monkeypatch.setattr(workers, "fork",
+                        lambda *args: forks.append(1) or real_fork(*args))
     return forks
 
 
@@ -741,25 +743,198 @@ def test_parse_peak_is_a_small_multiple_of_the_matrix(tmp_path, transpose):
         assert values[-1, 7] == float(last_cell)
 
 
+@ORIENTATIONS
+def test_fallback_peak_is_a_small_multiple_of_the_range(tmp_path, transpose):
+    """A bad cell in the last line sends the one range of this file to the
+    float() fallback, which holds the numbers of the lines before it, not
+    their text."""
+    rng = np.random.default_rng(7)
+    grid = [[repr(v) for v in row] for row in rng.normal(size=(300, 200)).tolist()]
+    grid[-1][-1] = "oops"
+    path = tmp_path / "bad.csv"
+    path.write_text(dataset_text(transpose, grid=grid, labels=["0", "1"] * 150,
+                                 names=[f"g{j}" for j in range(200)]),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetParseError, match="not a number: 'oops'"):
+            read_dataset(str(path), transpose=transpose)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the lines' text alone takes about 2.5 times the matrix
+    assert peak < 3 * 300 * 200 * 8
+
+
 def test_render_and_write_peak_is_a_chunk(tmp_path, monkeypatch):
+    """Also in the parent of three render workers."""
     monkeypatch.setattr(dataio, "_RENDER_CELLS", 1 << 12)
     rng = np.random.default_rng(6)
     values = rng.normal(size=(500, 500))
     labels = np.array([0, 1] * 250, dtype=np.int8)
     names = [f"g{j}" for j in range(500)]
     path = tmp_path / "out.csv"
-    tracemalloc.start()
-    try:
-        atomic_write_text(str(path), render_dataset(values, labels, names, []))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size / 5
     expected = render_csv([*names, "label"],
                           [[*map(repr, row), str(label)]
                            for row, label in zip(values.tolist(), labels.tolist())],
                           [])
-    assert path.read_text(encoding="utf-8") == expected
+    forks = many_ranges(monkeypatch, 1, segment=1 << 16)
+    for cpus in (1, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            atomic_write_text(str(path), render_dataset(values, labels, names, []))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 5
+        assert path.read_text(encoding="utf-8") == expected
+    assert len(forks) == 3
+
+
+# ---------------------------------------------------------------------------
+# The render on forked workers against the serial render
+# ---------------------------------------------------------------------------
+
+
+def render_case(columns):
+    """7 rows of ``columns`` cells, some of which go to repr one by one, and
+    the serial render's bytes: a row is 1 block (``_RENDER_CELLS`` 8) of
+    pieces of 8 and 3 cells with 11 columns, 2 rows a block with 3."""
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(7, columns)) * 10.0 ** rng.integers(-8, 8, (7, columns))
+    for (i, j), cell in zip([(0, 0), (2, 1), (4, -1), (6, 2)],
+                            [5e-324, -0.0, 1e300, 2.0 ** 54]):
+        values[i, j] = cell
+    labels = np.array([0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
+    names = [f"g{j}" for j in range(columns)]
+    expected = render_csv([*names, "label"],
+                          [[*map(fmt_number, row), str(label)]
+                           for row, label in zip(values.tolist(), labels.tolist())],
+                          ["# c"])
+    return (values, labels, names, ["# c"]), expected.encode()
+
+
+@pytest.mark.parametrize("columns", [3, 11])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_render_in_workers_matches_serial(monkeypatch, columns, cpus):
+    """Blocks dealt over 1-4 parts, the last group of blocks cut short."""
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    case, expected = render_case(columns)
+    forks = many_ranges(monkeypatch, cpus, segment=1)
+    assert b"".join(render_dataset(*case)) == expected
+    blocks = 7 if columns == 11 else 4
+    assert len(forks) == (cpus > 1) * min(cpus, blocks)
+
+
+@pytest.mark.parametrize("when", ["before sending", "mid-block"])
+def test_render_worker_that_dies_gives_the_same_bytes(monkeypatch, when):
+    """The parent formats the blocks a dead worker did not send whole."""
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    case, expected = render_case(11)
+    parent = os.getpid()
+    real_send = dataio._send_blocks
+    real_block = dataio._render_block
+    formatted_here = []
+
+    def dying(block, starts, out):
+        if starts[0] != 1:
+            real_send(block, starts, out)
+            return
+        if when == "mid-block":
+            # the worker of blocks 1 and 4 sends block 1, then half of 4
+            real_send(block, starts[:1], out)
+            chunk = block(starts[1])
+            out.write(len(chunk).to_bytes(8, "little") + chunk[:len(chunk) // 2])
+            out.flush()
+        os._exit(3)
+
+    def render_block(*args):
+        if os.getpid() == parent:
+            formatted_here.append(args[-1])
+        return real_block(*args)
+
+    forks = many_ranges(monkeypatch, 3, segment=1)
+    monkeypatch.setattr(dataio, "_send_blocks", dying)
+    monkeypatch.setattr(dataio, "_render_block", render_block)
+    assert b"".join(render_dataset(*case)) == expected
+    assert len(forks) == 3
+    assert formatted_here == ([4] if when == "mid-block" else [1, 4])
+
+
+class FullDisk:
+    """A file whose third write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("failing", ["write", "render"])
+def test_failing_render_in_workers_leaves_no_temporary_and_no_child(
+        tmp_path, monkeypatch, failing):
+    """Workers are killed and reaped as the write fails, before the
+    failure is handled."""
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    case, _ = render_case(11)
+    path = tmp_path / "target.csv"
+    path.write_text("old\n", encoding="utf-8")
+    forks = many_ranges(monkeypatch, 3, segment=1)
+    if failing == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *args: FullDisk(real_fdopen(*args)))
+        error, match = OutputError, "No space left"
+    else:
+        real_received = dataio._received
+        received = []
+
+        def failing_third(pipe):
+            received.append(1)
+            if len(received) == 3:
+                raise RuntimeError("render failed")
+            return real_received(pipe)
+
+        monkeypatch.setattr(dataio, "_received", failing_third)
+        error, match = RuntimeError, "render failed"
+    with pytest.raises(error, match=match) as caught:
+        atomic_write_text(str(path), render_dataset(*case))
+    # the traceback in ``caught`` still holds the render's generator
+    assert caught.traceback
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["target.csv"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert len(forks) == 3
+
+
+def test_render_beside_another_thread_forks_nothing(monkeypatch):
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    case, expected = render_case(11)
+    forks = many_ranges(monkeypatch, 4, segment=1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        got = b"".join(render_dataset(*case))
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert got == expected and forks == []
 
 
 class NoIteration(str):

@@ -1,5 +1,6 @@
 """Sweep harness: method parsing, scoring, determinism, parallel merge."""
 
+import concurrent.futures
 import os
 
 import numpy as np
@@ -167,7 +168,7 @@ class TestRunPlan:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
         methods = (parse_method("mnc-obf-jp"),)
         four_cells = ExperimentPlan(small_config(), (20, 30), 2, methods)
@@ -186,7 +187,7 @@ class TestRunPlan:
                 started.append(max_workers)
 
         # the process may run on one CPU of the four the machine has
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         plan = ExperimentPlan(small_config(), (20, 30), 2,
@@ -202,7 +203,7 @@ class TestRunPlan:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         plan = ExperimentPlan(small_config(), (20, 30), 2,
                               (parse_method("mnc-obf-jp"),))
         with pytest.raises(ConfigInvalid, match="threads"):
