@@ -18,6 +18,8 @@ from .bayes import MatrixStats, column_blocks
 from .errors import DegenerateData
 
 _SPACING_CLAMP_SCALE = 1e-12
+# points each class needs for the spacing MI
+MI_MIN_PER_CLASS = 4
 # cells of a column block of the spacing estimator
 _SORT_CELLS = 1 << 16
 
@@ -111,8 +113,10 @@ def _mi_columns(values: np.ndarray, labels: np.ndarray):
     n = values.shape[0]
     n1 = int(np.count_nonzero(mask1))
     n0 = n - n1
-    if n0 < 4 or n1 < 4:
-        raise DegenerateData("mutual information needs at least 4 points per class")
+    if min(n0, n1) < MI_MIN_PER_CLASS:
+        raise DegenerateData(
+            f"mutual information needs at least {MI_MIN_PER_CLASS} points per class"
+        )
 
     eps = _SPACING_CLAMP_SCALE * (
         np.max(values, axis=0) - np.min(values, axis=0) + 1.0

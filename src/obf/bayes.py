@@ -273,6 +273,15 @@ class MatrixStats:
     def n(self) -> int:
         return self.n0 + self.n1
 
+    @classmethod
+    def joined(cls, parts, order) -> "MatrixStats":
+        """The features of ``parts`` (statistics of the same rows) side by
+        side, then taken in ``order``."""
+        return cls(n0=parts[0].n0, n1=parts[0].n1, **{
+            name: np.concatenate([getattr(p, name) for p in parts])[order]
+            for name in ("mean0", "mean1", "var0", "var1", "mean", "var")
+        })
+
 
 # cells of a column block in matrix_stats: its temporaries, not the matrix's
 # size, set how much memory the moments take

@@ -8,23 +8,37 @@ independent work units; results are merged by key, which keeps the output
 identical across worker counts.
 
 Features whose score is undefined under a method (degenerate under an
-improper prior, zero variance for a baseline) are counted and treated as
-not selected; a sweep never aborts on a single bad probe.
+improper prior, zero variance for a baseline, every feature under MI where
+a class has fewer than 4 points) are counted and treated as not selected; a
+sweep never aborts on a single bad probe.
+
+A cell draws its dataset a batch of columns at a time and reduces each
+batch as it comes, so a worker holds one batch and a few F-long vectors,
+never the n x F matrix.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bayes import PriorSpec, jp_prior, log_h_table, matrix_stats, pp_prior
-from .baselines import bd_array, mi_array, welch_t_array, wilks_array
+from .bayes import (
+    MatrixStats, PriorSpec, jp_prior, log_h_table, matrix_stats, pp_prior,
+)
+from .baselines import (
+    MI_MIN_PER_CLASS, bd_array, mi_array, welch_t_array, wilks_array,
+)
 from .errors import ConfigInvalid
 from .rng import replicate_seed
 from .selection import Rule, parse_rule, rank_order
-from .synth import GLOBAL, HETERO, SynthConfig, generate
+# generate is not called here, but stays a name of this module: the
+# benchmark's tracer (perfbench/tracing.py) wraps it by name
+from .synth import (  # noqa: F401
+    GLOBAL, HETERO, SynthConfig, column_batches, generate, layout,
+)
 from .workers import usable_cpus
 
 OBF_PRESETS = ("pp", "jp")
@@ -34,6 +48,8 @@ BASELINES = {"t": ("welch_t", "T-TEST"), "welch": ("welch_t", "T-TEST"),
 # how a method name shows each parameter, in this order
 _SHOWN = {"t": "T", "d": "D", "alpha": "a", "pi": "pi", "l": "L"}
 MARKER_TAGS = (GLOBAL, HETERO)
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 @dataclass(frozen=True)
@@ -148,13 +164,50 @@ def score_selection(selected, truth, total: int):
     return correct, tp, fp
 
 
+def _keep_freed_memory():
+    """Have glibc's malloc keep the memory one batch frees for the next.
+
+    A cell allocates and frees temporaries of about a batch (0.5 MB) for
+    every batch. By default glibc maps each such block afresh, or gives the
+    top of its heap back to the system, and the next batch faults every page
+    in again: 45,000 minor faults in five desk cells (n = 200 to 2000),
+    against 6,600 when a cell held its matrix, and 1,500 with these
+    thresholds. The peak is still one batch's. Other systems are left as
+    they are.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _replicate_cell(payload):
-    """Score every method on one generated (n, replicate) dataset."""
+    """Score every method on one (n, replicate) draw.
+
+    The draw is reduced a batch of columns at a time (``column_batches``):
+    each batch's moments, and its spacing MI where a method needs it, go
+    into draw-order vectors, which are put in placement order once. The
+    n x F matrix is never held.
+    """
     config, base_seed, n, rep, methods, probe_preset, probe_tags = payload
-    seed = replicate_seed(base_seed, n, rep)
-    data = generate(config, n, seed)
-    ms = matrix_stats(data.values, data.labels)
-    truth = {i for i, tag in enumerate(data.truth) if tag in MARKER_TAGS}
+    _keep_freed_memory()
+    draw = layout(config, n, replicate_seed(base_seed, n, rep))
+    nf = config.n_features
+    # each class has n / 2 points; with fewer than MI needs, MI scores none
+    with_mi = (any(method.kind == "mi" for method in methods)
+               and n // 2 >= MI_MIN_PER_CLASS)
+    stats, mi = [], []
+    for x in column_batches(config, draw):
+        # looked up as globals of this module, so that a tracer can wrap them
+        stats.append(matrix_stats(x, draw.labels))
+        if with_mi:
+            mi.append(mi_array(x, draw.labels)[0])
+    ms = MatrixStats.joined(stats, draw.inverse)
+    truth = {i for i, tag in enumerate(draw.truth) if tag in MARKER_TAGS}
 
     obf_cache = {}
 
@@ -173,7 +226,11 @@ def _replicate_cell(payload):
             elif kind == "bd":
                 baseline_cache[kind] = bd_array(ms)
             elif kind == "mi":
-                baseline_cache[kind] = mi_array(data.values, data.labels)
+                baseline_cache[kind] = (
+                    np.concatenate(mi)[draw.inverse] if with_mi
+                    else np.full(nf, np.nan),
+                    np.full(nf, with_mi),
+                )
             elif kind == "wilks":
                 value, ok = wilks_array(ms)
                 baseline_cache[kind] = (-value, ok)
@@ -187,9 +244,7 @@ def _replicate_cell(payload):
             key, ok = baseline_key(method.kind)
             pi_star = log1m = None
         picked = method.rule.cut(rank_order(key, ok), pi_star, log1m, ok)
-        correct, tp, fp = score_selection(
-            picked.tolist(), truth, config.n_features
-        )
+        correct, tp, fp = score_selection(picked.tolist(), truth, nf)
         per_method[method.name] = (
             correct, tp, fp, picked.size, int(np.count_nonzero(~ok)),
         )
@@ -197,7 +252,7 @@ def _replicate_cell(payload):
     probe = None
     if probe_preset is not None:
         lh, _, _, ok = obf_scores(_prior_for(probe_preset))
-        probe_mask = np.array([t in probe_tags for t in data.truth], dtype=bool)
+        probe_mask = np.array([t in probe_tags for t in draw.truth], dtype=bool)
         probe = (lh[probe_mask & ok].copy(), lh[~probe_mask & ok].copy())
     return (n, rep), per_method, probe
 

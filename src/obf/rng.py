@@ -19,8 +19,9 @@ platform-variant algorithms:
 * Bounded integers use rejection sampling on raw 64-bit words, which makes
   ``permutation`` a plain Fisher-Yates shuffle.
 
-Across CPUs the bits are not yet fixed: numpy picks its ``log`` kernel by
-the CPU's SIMD features, and Box-Muller calls it.
+Across CPUs the bits are not yet fixed, and Box-Muller is why: numpy picks
+its ``log`` kernel by the CPU's SIMD features, and for float64 ``sin`` and
+``cos`` it calls glibc, which picks an FMA or a non-FMA variant by CPU.
 
 ``mix64``, ``derive64``, ``uniforms`` and ``normals`` work on whole arrays;
 ``Stream`` and ``replicate_seed`` are one-stream views of them.

@@ -17,7 +17,8 @@ Blocked roles are spread evenly over parameter groups, each group scaling the
 shared equicorrelation matrix by its own class-0/class-1 variance pair.
 
 Determinism contract: output is a pure function of (config, n, seed),
-bit-identical across runs and thread counts (not yet across CPUs; see
+bit-identical across runs and thread counts (not yet across CPUs: numpy's
+SIMD ``log`` and glibc's FMA or non-FMA ``sin``/``cos`` vary by CPU; see
 ``rng``). Each block (and each high-variance feature) draws from its own
 counter-based stream, so generation order never matters; see ``rng`` for
 the exact bit derivations. Stream layout, for n samples and blocks of k:
@@ -29,9 +30,11 @@ the exact bit derivations. Stream layout, for n samples and blocks of k:
   weight, words 1..n the component draws (one uniform per sample), and
   words n+1..2n the normals, Box-Muller pairs in sample order.
 
-Because each stream's words are fixed by this layout, ``generate`` draws
-the streams of one family in batches, one array pass per batch, and gets the
-same bits as drawing them one stream at a time.
+Because each stream's words are fixed by this layout, ``column_batches``
+draws the streams of one family in batches, one array pass per batch, and
+gets the same bits as drawing them one stream at a time. ``generate`` places
+its batches in one matrix; the sweep harness reduces each batch as it comes
+and never holds the matrix.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bayes import column_blocks
 from .errors import ConfigInvalid, NotPD
 from .rng import Stream, normals, stream_words, uniforms
 
@@ -52,7 +56,8 @@ HETERO = "HETERO"
 LOWVAR_NULL = "LOWVAR_NULL"
 HIGHVAR_NULL = "HIGHVAR_NULL"
 
-# Words drawn per batch of streams; bounds each batch temporary near 0.5 MB.
+# Words drawn per batch of streams, two streams at least; bounds each batch
+# temporary near 0.5 MB.
 _BATCH_WORDS = 1 << 16
 
 FULL_GROUP_SIGMAS = ((0.16, 0.16), (0.49, 0.49), (0.09, 0.25), (0.49, 0.64))
@@ -243,14 +248,26 @@ def _canonical_blocks(config: SynthConfig):
     return blocks
 
 
-def generate(config: SynthConfig, n: int, seed: int) -> LabeledMatrix:
-    """Draw an n-sample labeled matrix; a pure function of (config, n, seed).
+@dataclass(frozen=True)
+class Layout:
+    """What a draw of (config, n, seed) fixes besides its values.
 
     Rows 0..n/2-1 are class 0 and the rest class 1; within class 1 the first
     ceil(n1 / 2) rows form subclass 0 (the extra point lands there when n1 is
-    odd). Column positions of all features are scattered by the placement
-    permutation, with role tags recorded per column.
+    odd). The placement permutation puts draw-order column ``inverse[j]``
+    in column j; ``truth`` is the role tag of each placed column.
     """
+
+    n: int
+    seed: int
+    labels: np.ndarray
+    subclass: np.ndarray
+    inverse: np.ndarray
+    truth: tuple
+
+
+def layout(config: SynthConfig, n: int, seed: int) -> Layout:
+    """The labels, subclasses, placement and truth tags of a draw."""
     config.validate()
     if n < 4 or n % 2 != 0:
         raise ConfigInvalid("n must be an even integer >= 4")
@@ -258,19 +275,61 @@ def generate(config: SynthConfig, n: int, seed: int) -> LabeledMatrix:
     n1 = n - n0
     labels = np.zeros(n, dtype=np.int8)
     labels[n0:] = 1
-
     # subclass ids within class 1 (-1 elsewhere)
     subclass = np.full(n, -1, dtype=np.int8)
     n_sub0 = (n1 + 1) // 2
     subclass[n0:n0 + n_sub0] = 0
     subclass[n0 + n_sub0:] = 1
 
+    inverse = np.argsort(Stream(seed, 0).permutation(config.n_features))
+    draw_tags = np.array(
+        [role for role, _, _ in _canonical_blocks(config)
+         for _ in range(config.block_size)]
+        + [HIGHVAR_NULL] * config.n_highvar,
+        dtype=object,
+    )
+    return Layout(n=n, seed=seed, labels=labels, subclass=subclass,
+                  inverse=inverse, truth=tuple(draw_tags[inverse].tolist()))
+
+
+def _batches(config: SynthConfig, n: int):
+    """The draw-order batches: lists of (stream family, first, stop) ranges
+    of streams, each batch two columns wide or more unless the matrix has
+    one column.
+
+    ``column_blocks`` gives each family batches of two streams or more, of
+    about ``_BATCH_WORDS`` words, so only a family of one column makes a
+    lone column; it joins the other family's nearest batch.
+    """
     k = config.block_size
+    n_blocks = (config.n_features - config.n_highvar) // k
+    batches = [[(1, a, b)] for a, b in column_blocks((n * k, n_blocks), _BATCH_WORDS)]
+    batches += [[(2, a, b)] for a, b
+                in column_blocks((2 * n + 1, config.n_highvar), _BATCH_WORDS)]
+    if len(batches) > 1 and n_blocks * k == 1:
+        batches[:2] = [batches[0] + batches[1]]
+    if len(batches) > 1 and config.n_highvar == 1:
+        batches[-2:] = [batches[-2] + batches[-1]]
+    return batches
+
+
+def column_batches(config: SynthConfig, draw: Layout, out=None):
+    """Yield the draw-order columns of the matrix, a batch at a time, as
+    n x w arrays: the correlated blocks, then the high-variance features.
+
+    With ``out`` (n x F), each batch is written into its draw-order columns
+    of ``out`` and yielded as that view. Without, each batch is a
+    C-contiguous array in one buffer, which the next batch overwrites. A
+    batch has two columns or more unless the matrix has one: numpy sums a
+    lone contiguous column pairwise (see ``bayes.column_blocks``), so
+    moments taken batch by batch are those of the whole matrix, bit for bit.
+    """
+    n, seed, k = draw.n, draw.seed, config.block_size
     blocks = _canonical_blocks(config)
     groups = np.array([group for _, group, _ in blocks], dtype=np.intp)
     # rows each block shifts: 0 none, 1 class 1, 2 + s subclass s
-    shift_rows = np.stack([np.zeros(n, dtype=bool), labels == 1,
-                           subclass == 0, subclass == 1])
+    shift_rows = np.stack([np.zeros(n, dtype=bool), draw.labels == 1,
+                           draw.subclass == 0, draw.subclass == 1])
     shift_of = np.array(
         [1 if role == GLOBAL else 2 + orientation if role == HETERO else 0
          for role, _, orientation in blocks],
@@ -280,54 +339,70 @@ def generate(config: SynthConfig, n: int, seed: int) -> LabeledMatrix:
     low = np.array([[block_covariance(k, config.rho, sigma)[1] for sigma in pair]
                     for pair in config.group_sigmas])
     mu1 = config.mu1()
-
-    perm = Stream(seed, 0).permutation(config.n_features)
-    values = np.empty((n, config.n_features), dtype=np.float64)
-
-    step = max(1, _BATCH_WORDS // (n * k))
-    for b0 in range(0, len(blocks), step):
-        ids = np.arange(b0, min(b0 + step, len(blocks)))
-        z = normals(uniforms(stream_words(seed, 1, ids, n * k)))
-        z = z.reshape(len(ids), n, k)
-        x = _correlate(z, low[groups[ids], 0])
-        shifted = ids[shift_of[ids] > 0]
-        if shifted.size:
-            rel = shifted - b0
-            y = _correlate(z[rel], low[groups[shifted], 1]) + mu1
-            x[rel] = np.where(shift_rows[shift_of[shifted], :, None], y, x[rel])
-        values[:, b0 * k:(b0 + len(ids)) * k] = x.transpose(1, 0, 2).reshape(n, -1)
-
-    col0 = len(blocks) * k
     scales = np.sqrt(np.array(config.group_sigmas, dtype=np.float64))
-    step = max(1, _BATCH_WORDS // (2 * n + 1))
-    for h0 in range(0, config.n_highvar, step):
-        ids = np.arange(h0, min(h0 + step, config.n_highvar))
-        u = uniforms(stream_words(seed, 2, ids, 2 * n + 1))
-        comp = u[:, 1:n + 1] < u[:, :1]
-        z = normals(u[:, n + 1:])
-        sd = scales[ids % config.n_groups]
-        column = np.where(comp, sd[:, :1] * z, 1.0 + sd[:, 1:] * z)
-        values[:, col0 + h0:col0 + h0 + len(ids)] = column.T
 
-    # Draw i sits in column i so far; it belongs in column perm[i]. Move
-    # every column into place with one gather per chunk of rows.
-    inverse = np.argsort(perm)
+    batches = _batches(config, n)
+    widths = [sum((b - a) * (k if family == 1 else 1) for family, a, b in batch)
+              for batch in batches]
+    buffer = np.empty(n * max(widths)) if out is None else None
+    start = 0
+    for batch, width in zip(batches, widths):
+        if out is None:
+            x = buffer[:n * width].reshape(n, width)
+        else:
+            x = out[:, start:start + width]
+        col = 0
+        for family, a, b in batch:
+            ids = np.arange(a, b)
+            if family == 1:
+                z = normals(uniforms(stream_words(seed, 1, ids, n * k)))
+                z = z.reshape(len(ids), n, k)
+                drawn = _correlate(z, low[groups[ids], 0])
+                shifted = ids[shift_of[ids] > 0]
+                if shifted.size:
+                    rel = shifted - a
+                    y = _correlate(z[rel], low[groups[shifted], 1]) + mu1
+                    drawn[rel] = np.where(shift_rows[shift_of[shifted], :, None],
+                                          y, drawn[rel])
+                # splitting whole rows of columns into blocks makes a view
+                dest = x[:, col:col + len(ids) * k].reshape(n, len(ids), k)
+                dest[...] = drawn.transpose(1, 0, 2)
+                col += len(ids) * k
+            else:
+                u = uniforms(stream_words(seed, 2, ids, 2 * n + 1))
+                comp = u[:, 1:n + 1] < u[:, :1]
+                z = normals(u[:, n + 1:])
+                sd = scales[ids % config.n_groups]
+                x[:, col:col + len(ids)] = np.where(
+                    comp, sd[:, :1] * z, 1.0 + sd[:, 1:] * z).T
+                col += len(ids)
+        yield x
+        start += width
+
+
+def generate(config: SynthConfig, n: int, seed: int) -> LabeledMatrix:
+    """Draw an n-sample labeled matrix; a pure function of (config, n, seed).
+
+    The rows and columns are as ``layout`` gives them: the batches of
+    ``column_batches`` fill the matrix in draw order, and every column then
+    moves to its placement.
+    """
+    draw = layout(config, n, seed)
+    values = np.empty((n, config.n_features), dtype=np.float64)
+    for _ in column_batches(config, draw, out=values):
+        pass  # each batch is drawn into its columns of ``values``
+    # Draw i sits in column i so far; column j takes draw inverse[j], with
+    # one gather per chunk of rows.
     buf = np.empty((max(1, _BATCH_WORDS // config.n_features), config.n_features))
     for r0 in range(0, n, len(buf)):
         chunk = values[r0:r0 + len(buf)]
-        np.take(chunk, inverse, axis=1, out=buf[:len(chunk)])
+        np.take(chunk, draw.inverse, axis=1, out=buf[:len(chunk)])
         chunk[...] = buf[:len(chunk)]
-    draw_tags = np.array(
-        [role for role, _, _ in blocks for _ in range(k)]
-        + [HIGHVAR_NULL] * config.n_highvar,
-        dtype=object,
-    )
-
     return LabeledMatrix(
         values=values,
-        labels=labels,
-        truth=tuple(draw_tags[inverse].tolist()),
+        labels=draw.labels,
+        truth=draw.truth,
         seed=seed,
         config_digest=config.digest(),
-        subclass=subclass,
+        subclass=draw.subclass,
     )

@@ -42,7 +42,8 @@ def parts(size):
 @contextmanager
 def forked():
     """A list for the (pid, pipe) of forked workers. On leaving, each
-    worker has its pipe closed and is killed and reaped."""
+    worker has its pipe closed and is killed and reaped, but for one that
+    a wait of the caller's has reaped already."""
     workers = []
     try:
         yield workers
@@ -50,10 +51,13 @@ def forked():
         for pid, pipe in workers:
             pipe.close()
             try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
+                # a pid that is no longer a child of this process is never
+                # signalled: it may name another process by now
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):
                 pass
-            os.waitpid(pid, 0)
 
 
 def fork(work):

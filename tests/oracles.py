@@ -5,9 +5,10 @@ either high-precision (mpmath at 50 digits) or brute-force (adaptive
 quadrature, exhaustive enumeration), so agreement with the package is a real
 cross-check rather than a tautology. The exceptions are the per-stream
 generator, which draws through ``obf.rng.Stream`` (``tests/test_rng.py``
-checks those streams word for word on their own), and the row-by-row
+checks those streams word for word on their own), the row-by-row
 dataset reader, which takes its rows from ``obf.dataio.read_csv_text``, the
-package's text-mode CSV reader.
+package's text-mode CSV reader, and the materialized sweep cell, which
+scores a whole generated matrix with the package's own kernels.
 """
 
 from __future__ import annotations
@@ -331,6 +332,59 @@ def generate_per_stream(config, n: int, seed: int):
         values=values, labels=labels, truth=tuple(truth), seed=seed,
         config_digest=config.digest(), subclass=subclass,
     )
+
+
+def replicate_cell_materialized(payload):
+    """A sweep cell that holds its whole matrix: ``generate``, then
+    ``matrix_stats``, ``mi_array`` and ``log_h_table`` on the matrix, as the
+    cell was written before it reduced its draw a batch of columns at a
+    time. ``harness._replicate_cell`` must match it bit for bit.
+    """
+    from obf.baselines import bd_array, mi_array, welch_t_array, wilks_array
+    from obf.bayes import log_h_table, matrix_stats
+    from obf.errors import DegenerateData
+    from obf.harness import MARKER_TAGS, _prior_for, score_selection
+    from obf.rng import replicate_seed
+    from obf.selection import rank_order
+    from obf.synth import generate
+
+    config, base_seed, n, rep, methods, probe_preset, probe_tags = payload
+    data = generate(config, n, replicate_seed(base_seed, n, rep))
+    ms = matrix_stats(data.values, data.labels)
+    truth = {i for i, tag in enumerate(data.truth) if tag in MARKER_TAGS}
+    nf = config.n_features
+
+    def baseline(kind):
+        if kind == "welch_t":
+            t, ok = welch_t_array(ms)
+            return np.abs(t), ok
+        if kind == "bd":
+            return bd_array(ms)
+        if kind == "wilks":
+            value, ok = wilks_array(ms)
+            return -value, ok
+        try:
+            return mi_array(data.values, data.labels)
+        except DegenerateData:
+            return np.full(nf, np.nan), np.zeros(nf, dtype=bool)
+
+    per_method = {}
+    for method in methods:
+        if method.kind == "obf":
+            key, pi_star, log1m, ok = log_h_table(method.prior, ms)
+        else:
+            (key, ok), pi_star, log1m = baseline(method.kind), None, None
+        picked = method.rule.cut(rank_order(key, ok), pi_star, log1m, ok)
+        correct, tp, fp = score_selection(picked.tolist(), truth, nf)
+        per_method[method.name] = (
+            correct, tp, fp, picked.size, int(np.count_nonzero(~ok)),
+        )
+    probe = None
+    if probe_preset is not None:
+        lh, _, _, ok = log_h_table(_prior_for(probe_preset), ms)
+        probe_mask = np.array([t in probe_tags for t in data.truth], dtype=bool)
+        probe = (lh[probe_mask & ok], lh[~probe_mask & ok])
+    return (n, rep), per_method, probe
 
 
 def read_dataset_rows(path, label_column="label", transpose=False):

@@ -656,6 +656,17 @@ class TestConsistency:
         assert err.startswith("error:") and "threads" in err
         assert "max_workers" not in err
 
+    def test_mi_at_two_points_a_class_counts_every_feature_degenerate(self, tmp_path):
+        cfg = write(tmp_path / "run.ini", SYNTH_SMALL + (
+            "[plan]\nn_grid = 4,8,12\nreplicates = 1\n"
+            "methods = mnc-obf-jp; mi:D=10; t:D=10\n"))
+        out_dir = str(tmp_path / "out")
+        assert main(["consistency", "--config", cfg, "--out", out_dir]) == 0
+        header, rows, _ = read_csv_text(os.path.join(out_dir, "metrics.csv"))
+        mi_at_4 = dict(zip(header, rows[1]))
+        assert (mi_at_4["n"], mi_at_4["method"]) == ("4", "MI(D=10)")
+        assert (mi_at_4["mean_selected"], mi_at_4["mean_degenerate"]) == ("0.0", "120.0")
+
     def test_missing_plan_exit_3(self, tmp_path):
         cfg = write(tmp_path / "run.ini", SYNTH_SMALL)
         assert main(["consistency", "--config", cfg,
@@ -924,17 +935,44 @@ def test_ranked_columns_besides_welch_p_keep_their_bytes(golden):
     assert digests == GOLDEN_RANKED_WITHOUT_WELCH_P
 
 
-def test_benchmark_tracer_wraps_and_restores_cli_names():
-    """The benchmark's tracer (perfbench/tracing.py) wraps module attributes
-    of obf.cli and obf.harness by name; dropping one breaks the traced run."""
+def benchmark_tracing():
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_wraps_and_restores_cli_names():
+    """The benchmark's tracer (perfbench/tracing.py) wraps module attributes
+    of obf.cli and obf.harness by name; dropping one breaks the traced run."""
+    tracing = benchmark_tracing()
     import obf.cli
+    import obf.harness
 
     before = {name: getattr(obf.cli, name) for name in tracing.CLI_SPANS}
+    in_harness = {name: getattr(obf.harness, name) for name in tracing.HARNESS_SPANS}
     with tracing.installed(tracing.Tracer()):
         assert obf.cli.read_dataset is not before["read_dataset"]
         assert obf.cli.read_dataset.__wrapped__ is before["read_dataset"]
+        assert obf.harness.matrix_stats.__wrapped__ is in_harness["matrix_stats"]
     assert {name: getattr(obf.cli, name) for name in tracing.CLI_SPANS} == before
+    assert {name: getattr(obf.harness, name)
+            for name in tracing.HARNESS_SPANS} == in_harness
+
+
+def test_benchmark_tracer_times_the_sweeps_kernels():
+    """A sweep cell calls matrix_stats and mi_array through obf.harness's
+    names, once per batch of columns, so the traced spans see them."""
+    from obf.harness import ExperimentPlan, parse_method, run_sweep
+    from obf.synth import desk_config
+
+    tracing = benchmark_tracing()
+    plan = ExperimentPlan(desk_config(), (20,), 1,
+                          (parse_method("mnc-obf-jp"), parse_method("mi:D=5")))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        run_sweep(plan)
+    metrics = tracer.metrics()
+    assert metrics["bayes.matrix_stats_s"]["value"] > 0
+    assert metrics["baselines.mi_s"]["value"] > 0
+    assert metrics["bayes.log_h_table_s"]["value"] > 0

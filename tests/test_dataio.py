@@ -1,6 +1,7 @@
 """The dataset file contract: number grammar, error positions, rendering."""
 
 import errno
+import gc
 import math
 import os
 import pickle
@@ -919,6 +920,40 @@ def test_failing_render_in_workers_leaves_no_temporary_and_no_child(
     assert os.listdir(tmp_path) == ["target.csv"]
     assert path.read_text(encoding="utf-8") == "old\n"
     assert len(forks) == 3
+
+
+@pytest.mark.parametrize("how", ["close", "drop"])
+def test_render_closed_after_a_worker_was_reaped_elsewhere(monkeypatch, how):
+    """A wait of the caller's that reaps the first worker leaves the others
+    to be killed and reaped, with no error, as the render is closed or
+    dropped."""
+    monkeypatch.setattr(dataio, "_RENDER_CELLS", 8)
+    case, _ = render_case(11)
+    many_ranges(monkeypatch, 3, segment=1)
+    pids = []
+    counted_fork = workers.fork
+
+    def fork(work):
+        pid, pipe = counted_fork(work)
+        pids.append(pid)
+        return pid, pipe
+
+    monkeypatch.setattr(workers, "fork", fork)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    chunks = render_dataset(*case)
+    next(chunks)
+    next(chunks)  # the first block: every worker is forked
+    assert len(pids) == 3
+    os.waitpid(pids[0], 0)
+    if how == "close":
+        chunks.close()
+    else:
+        del chunks
+        gc.collect()
+    assert unraisable == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_render_beside_another_thread_forks_nothing(monkeypatch):

@@ -2,11 +2,15 @@
 
 import concurrent.futures
 import os
+import resource
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from obf.bayes import jp_prior, log_h_table, matrix_stats, pp_prior
+from obf.baselines import mi_array
+from obf.bayes import MatrixStats, jp_prior, log_h_table, matrix_stats, pp_prior
 from obf.errors import ConfigInvalid
 from obf import harness
 from obf.harness import (
@@ -20,9 +24,11 @@ from obf.harness import (
 )
 from obf.rng import replicate_seed
 from obf.selection import Rule
-from obf.synth import DESK_GROUP_SIGMAS, SynthConfig, generate
+from obf.synth import (
+    DESK_GROUP_SIGMAS, SynthConfig, column_batches, desk_config, generate, layout,
+)
 
-from oracles import np_prefix_length
+from oracles import np_prefix_length, replicate_cell_materialized
 
 
 def toy_separated_config():
@@ -236,6 +242,21 @@ class TestRunPlan:
                               (parse_method("mnc-obf-jp"),), base_seed=13)
         assert run_plan(plan)[0].mean_degenerate == 0.0
 
+    def test_mi_below_four_points_a_class_scores_no_feature(self):
+        """n = 4 and 6 leave 2 and 3 points a class: MI selects none and
+        counts every feature degenerate, and the sweep goes on."""
+        methods = tuple(map(parse_method, ("mnc-obf-jp", "mi:D=10", "t:D=10")))
+        rows = run_plan(ExperimentPlan(small_config(), (4, 6, 8, 12), 2, methods,
+                                       base_seed=4))
+        without = run_plan(ExperimentPlan(small_config(), (8, 12), 2, methods,
+                                          base_seed=4))
+        for row in rows[:6]:
+            if row.method == "MI(D=10)":
+                assert (row.mean_selected, row.mean_degenerate) == (0.0, 120.0)
+            else:
+                assert row.mean_selected > 0 and row.mean_degenerate == 0.0
+        assert rows[6:] == without
+
     def test_extending_grid_keeps_existing_rows(self):
         methods = (parse_method("mnc-obf-jp"),)
         short = ExperimentPlan(small_config(), (20,), 3, methods, base_seed=6)
@@ -308,3 +329,99 @@ class TestProbe:
         result = run_sweep(plan, probe_preset="jp")
         assert len(result.rows) == 1
         assert len(result.probe) == 1
+
+
+EVERY_KIND = tuple(map(parse_method, (
+    "mnc-obf-jp", "mnc-obf-pp", "mr-obf-pp:T=0.3", "cmnc-obf-jp:D=7",
+    "np-obf-jp:alpha=0.5", "t:D=7", "bd:D=7", "mi:D=7", "wilks:D=7",
+)))
+
+# config, n: batches of several streams with a short last one (n = 4000);
+# above n = 32767 the narrowest batches, two streams of each family, a
+# lone last stream joined to its batch, and with blocks of one column a
+# family of one column joined to the other family's batch
+BATCHED_CASES = {
+    "desk-ratios-4000": (small_config(), 4000),
+    "blocks-of-5-32770": (SynthConfig(
+        n_features=45, n_global=10, n_hetero=20, n_lowvar=10, n_highvar=5,
+        block_size=5, n_groups=1, group_sigmas=((0.09, 0.25),)), 32770),
+    "blocks-of-1-32770": (SynthConfig(
+        n_features=8, n_global=3, n_hetero=2, n_lowvar=2, n_highvar=1,
+        block_size=1, n_groups=1, group_sigmas=((0.09, 0.25),)), 32770),
+    "two-lone-families": (SynthConfig(
+        n_features=2, n_global=1, n_hetero=0, n_lowvar=0, n_highvar=1,
+        block_size=1, n_groups=1, group_sigmas=((0.09, 0.25),)), 40),
+    "one-column": (SynthConfig(
+        n_features=1, n_global=0, n_hetero=0, n_lowvar=0, n_highvar=1,
+        n_groups=1, group_sigmas=((0.09, 0.25),)), 40),
+}
+
+
+class TestBatchedCell:
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_batches_are_wide_and_contiguous(self, case):
+        config, n = BATCHED_CASES[case]
+        draw = layout(config, n, 3)
+        batches = [(x.flags.c_contiguous, *x.shape)
+                   for x in column_batches(config, draw)]
+        assert all(contiguous and rows == n for contiguous, rows, _ in batches)
+        widths = [width for _, _, width in batches]
+        assert sum(widths) == config.n_features
+        assert min(widths) >= min(2, config.n_features)
+
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_batched_moments_and_mi_match_the_matrix(self, case):
+        config, n = BATCHED_CASES[case]
+        draw = layout(config, n, 3)
+        stats, mi = [], []
+        for x in column_batches(config, draw):
+            stats.append(matrix_stats(x, draw.labels))
+            mi.append(mi_array(x, draw.labels)[0])
+        got = MatrixStats.joined(stats, draw.inverse)
+        data = generate(config, n, 3)
+        want = matrix_stats(data.values, data.labels)
+        for name in ("mean0", "mean1", "var0", "var1", "mean", "var"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (np.concatenate(mi)[draw.inverse].tobytes()
+                == mi_array(data.values, data.labels)[0].tobytes())
+
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_cell_matches_the_materialized_cell(self, case):
+        config, n = BATCHED_CASES[case]
+        payload = (config, 4, n, 1, EVERY_KIND, "jp", MARKER_TAGS)
+        key, per_method, probe = harness._replicate_cell(payload)
+        want_key, want_per_method, want_probe = replicate_cell_materialized(payload)
+        assert (key, per_method) == (want_key, want_per_method)
+        assert [a.tobytes() for a in probe] == [a.tobytes() for a in want_probe]
+
+    def test_small_n_matches_the_materialized_cell(self):
+        for n in (4, 6, 8):
+            payload = (small_config(), 4, n, 0, EVERY_KIND, "pp", MARKER_TAGS)
+            got = harness._replicate_cell(payload)
+            want = replicate_cell_materialized(payload)
+            assert got[:2] == want[:2]
+            assert [a.tobytes() for a in got[2]] == [a.tobytes() for a in want[2]]
+
+    def test_cell_peak_is_far_below_the_matrix(self):
+        """A desk cell at n = 2000 holds a batch and some F-long vectors,
+        not the 32 MB matrix."""
+        config, n = desk_config(), 2000
+        payload = (config, 1, n, 0, EVERY_KIND, "jp", MARKER_TAGS)
+        tracemalloc.start()
+        try:
+            harness._replicate_cell(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * config.n_features * 8 / 4
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the thresholds are glibc's")
+    def test_batches_reuse_the_pages_freed_before(self):
+        """A cell does not fault its batches' temporaries in afresh: without
+        the malloc thresholds it takes thousands of minor faults."""
+        payload = (desk_config(), 1, 2000, 0, EVERY_KIND, "jp", MARKER_TAGS)
+        harness._replicate_cell(payload)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        harness._replicate_cell(payload)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

@@ -232,7 +232,7 @@ class TestBatchedAgainstPerStream:
     @pytest.mark.parametrize("n", (4000, 20_000))
     def test_batch_boundaries(self, n):
         # 4000 leaves a partial last batch of blocks and of mixtures; 20000
-        # puts one stream in each batch
+        # puts two streams, the fewest, in each batch
         config = tiny_config()
         assert_same_matrix(generate(config, n, 5), generate_per_stream(config, n, 5))
 
